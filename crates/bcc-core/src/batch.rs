@@ -37,11 +37,20 @@
 //! oracle proptests (`kernel_oracle.rs`) and the batch differential
 //! suite (`bcc/tests/batch_differential.rs`) enforce this.
 //!
+//! # The driver
+//!
+//! Evaluators never stage blocks themselves: every blocked fan-out runs
+//! through [`solve_jobs`], which owns the block loop and its contract.
+//!
 //! # Counters
 //!
 //! [`stats`] mirrors [`bcc_lp::stats`]: relaxed process-wide atomics
 //! plus race-free thread-local twins, counting points solved through
 //! block kernels and how many of them ran in full-`LANE` chunks.
+
+mod driver;
+
+pub use driver::{block_range, solve_jobs};
 
 use crate::bounds::LinkCaps;
 use crate::constraint::PhaseVec;
@@ -257,15 +266,6 @@ impl PointBlock {
             c_r_br: self.c_r_br[i],
             c_mac: self.c_mac[i],
         }
-    }
-
-    /// Reconstructs the network of point `i` (for scalar fallbacks —
-    /// outer bounds, QoS floors — that need the full network).
-    pub fn net(&self, i: usize) -> GaussianNetwork {
-        GaussianNetwork::with_powers(
-            PowerSplit::new(self.pa[i], self.pb[i], self.pr[i]),
-            ChannelState::new(self.gab[i], self.gar[i], self.gbr[i]),
-        )
     }
 }
 

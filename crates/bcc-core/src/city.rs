@@ -12,9 +12,8 @@
 //! path-loss gains from the geometry ([`Topology::try_edge_state`]),
 //! all nodes at the same transmit power. The edge weight
 //! `S_kj` is the best closed-form **sum rate over the configured
-//! protocols** at that geometry — exactly what
-//! [`SolveCtx::solve_block`] computes per point, so the city study
-//! reuses the batched SoA kernel unchanged.
+//! protocols** at that geometry, solved by the batched SoA kernel
+//! unchanged.
 //!
 //! Three assignments are compared:
 //!
@@ -35,16 +34,14 @@
 //!
 //! # Streaming and determinism
 //!
-//! [`CityEvaluator::sweep`] fans **one job per pair** across the worker
-//! pool; inside a job the pair's `n` relay edges stream through a
-//! per-worker [`PointBlock`](crate::batch::PointBlock) in chunks of the
-//! scenario's block size and are immediately reduced to a fixed-size
-//! [`PairCandidates`] (best edge, random edge, top-`C` list). Memory is
-//! `O(K + block)` regardless of `n × K`, so `K = 10^5` pairs × 100
-//! relays fits comfortably; and because each edge's solve is bitwise
-//! independent of its chunk (the [`SolveCtx::solve_block`] contract) and
-//! jobs are order-preserving, results are **bit-identical at any thread
-//! count and any block size**.
+//! [`CityEvaluator::sweep`] runs **one job per pair** through
+//! [`batch::solve_jobs`]: the pair's `n` relay edges stream through the
+//! lane kernels in blocks of the scenario's block size and are reduced
+//! on the fly to a fixed-size [`PairCandidates`] (best edge, random
+//! edge, top-`C` list). Memory is `O(K + block)` regardless of `n × K`,
+//! so `K = 10^5` pairs × 100 relays fits comfortably, and the driver's
+//! contract makes results bit-identical at any thread count and block
+//! size.
 //!
 //! ```
 //! use bcc_channel::Topology;
@@ -59,11 +56,13 @@
 //!     >= result.scheduled_rate(AssignmentKind::Random, Schedule::TimeShare));
 //! ```
 
+use crate::batch;
 use crate::error::CoreError;
-use crate::kernel::{SolveCtx, SolveOutcome, SolveRequest};
+use crate::gaussian::GaussianNetwork;
+use crate::kernel::SolveRequest;
 use crate::protocol::Protocol;
 use bcc_channel::{PowerSplit, Topology};
-use bcc_num::par;
+use bcc_num::faults::FaultPlan;
 use bcc_num::seed::mix_seed;
 use bcc_num::Db;
 
@@ -301,15 +300,10 @@ impl CityScenario {
     pub fn build(self) -> CityEvaluator {
         CityEvaluator { scenario: self }
     }
-
-    fn effective_block_size(&self) -> usize {
-        self.block_size.unwrap_or(crate::batch::DEFAULT_BLOCK)
-    }
 }
 
-/// The compiled form of a [`CityScenario`]: fans one job per pair
-/// across scoped worker threads, one [`SolveCtx`] and
-/// [`PointBlock`](crate::batch::PointBlock) per worker.
+/// The compiled form of a [`CityScenario`]: one
+/// [`batch::solve_jobs`] job per pair.
 #[derive(Debug)]
 pub struct CityEvaluator {
     scenario: CityScenario,
@@ -349,53 +343,58 @@ impl CityEvaluator {
         let topo = &sc.topology;
         let (k, n) = (topo.num_pairs(), topo.num_relays());
         let nproto = sc.protocols.len();
-        let bsz = sc.effective_block_size();
+        let bsz = sc.block_size.unwrap_or(batch::DEFAULT_BLOCK);
         let threads = self.thread_count();
         let powers = PowerSplit::symmetric(sc.power);
 
-        let worker = || {
-            (
-                SolveCtx::new(),
-                crate::batch::PointBlock::new(),
-                vec![Vec::<SolveOutcome>::new(); nproto],
-            )
-        };
-        let pairs: Vec<PairCandidates> =
-            par::try_par_map_range(threads, k, worker, |(ctx, block, outs), pair| {
+        // One job per pair over its `n` relay edges (item `pair·n + j`);
+        // each edge's best rate over protocols is offered to the pair's
+        // candidate list as soon as its last protocol arrives.
+        let requests: Vec<_> = sc
+            .protocols
+            .iter()
+            .copied()
+            .map(SolveRequest::sum_rate)
+            .collect();
+        let pairs: Vec<PairCandidates> = batch::solve_jobs(
+            threads,
+            bsz,
+            &requests,
+            &FaultPlan::none(),
+            k,
+            |pair| {
                 let random_relay = (mix_seed(sc.assign_seed, pair as u64) % n as u64) as usize;
-                let mut cand = PairCandidates::new(random_relay);
-                let mut lo = 0;
-                while lo < n {
-                    let hi = (lo + bsz).min(n);
-                    block.clear();
-                    for j in lo..hi {
-                        let state =
-                            topo.try_edge_state(pair, j)
-                                .map_err(|e| CoreError::InvalidInput {
-                                    context: format!("city edge (pair {pair}, relay {j}): {e}"),
-                                })?;
-                        block.push(&powers, &state);
-                    }
-                    block.compute_caps();
-                    for (pi, &p) in sc.protocols.iter().enumerate() {
-                        outs[pi].clear();
-                        ctx.solve_block(block, SolveRequest::sum_rate(p), &mut outs[pi])?;
-                    }
-                    for i in 0..hi - lo {
-                        // Best over protocols; first strictly-greater
-                        // wins, so protocol order breaks exact ties.
-                        let mut rate = f64::NEG_INFINITY;
-                        for po in outs.iter() {
-                            if po[i].value > rate {
-                                rate = po[i].value;
-                            }
-                        }
-                        cand.offer(lo + i, rate);
-                    }
-                    lo = hi;
+                let cand = PairCandidates::new(random_relay);
+                (pair * n..(pair + 1) * n, (cand, f64::NEG_INFINITY, pair))
+            },
+            |&mut (_, _, pair), edge| {
+                let j = edge - pair * n;
+                let state = topo
+                    .try_edge_state(pair, j)
+                    .map_err(|e| CoreError::InvalidInput {
+                        context: format!("city edge (pair {pair}, relay {j}): {e}"),
+                    })?;
+                Ok(GaussianNetwork::with_powers(powers, state))
+            },
+            |(cand, rate, pair), edge, r, outcome| {
+                // Best over protocols; first strictly-greater wins, so
+                // protocol order breaks exact ties.
+                let value = outcome?.value;
+                if r == 0 {
+                    *rate = f64::NEG_INFINITY;
                 }
-                Ok(cand)
-            })?;
+                if value > *rate {
+                    *rate = value;
+                }
+                if r + 1 == nproto {
+                    cand.offer(edge - *pair * n, *rate);
+                }
+                Ok(())
+            },
+        )?
+        .into_iter()
+        .map(|(cand, ..)| cand)
+        .collect();
 
         // Serial assignment stage: identical regardless of how the edge
         // solves above were fanned out.

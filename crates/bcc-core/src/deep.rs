@@ -15,10 +15,10 @@
 //! 2. **Weighted sampling** — each trial draws the three link fades from
 //!    the defensive-mixture tilted sampler
 //!    ([`FadingModel::sample_power_tilted`]), carries the product
-//!    likelihood-ratio weight, and rides the same SoA block kernels as
-//!    every other fading study. The per-trial weighted indicators reduce
-//!    into a [`WeightedTailStats`] in trial order, so results are
-//!    **bit-identical at any thread count and any block size**.
+//!    likelihood-ratio weight, and rides the same blocked-solve driver
+//!    ([`batch::solve_jobs`]) as every other fading study. The per-trial
+//!    weighted indicators reduce into a [`WeightedTailStats`] serially in
+//!    trial order.
 //! 3. **Exact fast path** — where the analytic tail is exact
 //!    ([`crate::tails`]: DT under Rayleigh/Nakagami-m) the evaluator skips
 //!    sampling entirely and reports the closed form, unless
@@ -39,15 +39,15 @@
 //! [`FadingModel::sample_power_tilted`]: bcc_channel::fading::FadingModel::sample_power_tilted
 //! [`WeightedTailStats`]: bcc_num::stats::WeightedTailStats
 
-use crate::batch::PointBlock;
+use crate::batch;
 use crate::error::CoreError;
 use crate::gaussian::GaussianNetwork;
-use crate::kernel::{SolveCtx, SolveOutcome, SolveRequest};
+use crate::kernel::{SolveCtx, SolveRequest};
 use crate::protocol::{Protocol, ProtocolMap};
 use crate::scenario::{mix_seed, trial_stream, Evaluator, FadingSpec};
 use crate::tails::analytic_outage;
 use bcc_channel::fading::PowerTilt;
-use bcc_num::par;
+use bcc_num::faults::FaultPlan;
 use bcc_num::special::log2_1p;
 use bcc_num::stats::WeightedTailStats;
 
@@ -386,11 +386,11 @@ impl Evaluator {
     /// (Rayleigh/Nakagami-m), and multiplexing gains from
     /// [`Scenario::multiplexing_gains`](crate::scenario::Scenario::multiplexing_gains).
     ///
-    /// Results are bit-identical at any worker count and any block size:
-    /// every cell draws from its own deterministic per-trial seed streams
+    /// Every cell draws from its own deterministic per-trial seed streams
     /// (`mix_seed(seed, cell_index)`; the scenario seed itself for a
-    /// single-cell study), blocks never straddle cells, and the weighted
-    /// reduction runs serially in trial order.
+    /// single-cell study) and its blocks never straddle cells, so under
+    /// the [`batch::solve_jobs`] contract results do not depend on the
+    /// worker count or the block size.
     ///
     /// # Errors
     ///
@@ -493,44 +493,47 @@ impl Evaluator {
             }
         }
 
-        // Fan the sampled cells across the workers in block-sized chunks;
-        // blocks never straddle cells so every block solves one protocol.
+        // Block-sized jobs that never straddle cells. Cells are planned
+        // protocol-major, so each protocol's cells are one contiguous run
+        // and one driver call; item `c·trials + k` is trial `k` of the
+        // run's cell `c`, and a job keeps its trials' weights and
+        // below-target flags.
         let blocks_per_cell = trials.div_ceil(bsz);
-        let njobs = plans.len() * blocks_per_cell;
-        let worker = || {
-            (
-                SolveCtx::new(),
-                PointBlock::new(),
-                Vec::<SolveOutcome>::new(),
-            )
-        };
         let model = spec.model;
-        let job_rows: Vec<Vec<(f64, bool)>> =
-            par::par_map_range(threads, njobs, worker, |(ctx, block, outs), j| {
-                let plan = &plans[j / blocks_per_cell];
-                let lo = (j % blocks_per_cell) * bsz;
-                let hi = (lo + bsz).min(trials);
-                block.clear();
-                let mut weights = Vec::with_capacity(hi - lo);
-                let state = plan.net.state();
-                for k in lo..hi {
-                    let mut rng = trial_stream(plan.seed, k as u64);
+        let mut job_rows: Vec<(Vec<f64>, Vec<bool>)> = Vec::new();
+        for cells in plans.chunk_by(|a, b| a.protocol == b.protocol) {
+            let rows = batch::solve_jobs(
+                threads,
+                bsz,
+                &[SolveRequest::sum_rate(cells[0].protocol)],
+                &FaultPlan::none(),
+                cells.len() * blocks_per_cell,
+                |j| {
+                    let base = (j / blocks_per_cell) * trials;
+                    let span = batch::block_range(j % blocks_per_cell, bsz, trials);
+                    let rows = (
+                        Vec::with_capacity(span.len()),
+                        Vec::with_capacity(span.len()),
+                    );
+                    (base + span.start..base + span.end, rows)
+                },
+                |(weights, _), item| {
+                    let plan = &cells[item / trials];
+                    let mut rng = trial_stream(plan.seed, (item % trials) as u64);
                     let (fab, wab) = model.sample_power_tilted(&mut rng, plan.tilt[0]);
                     let (far, war) = model.sample_power_tilted(&mut rng, plan.tilt[1]);
                     let (fbr, wbr) = model.sample_power_tilted(&mut rng, plan.tilt[2]);
-                    block.push_net(&plan.net.with_state(state.faded(fab, far, fbr)));
                     weights.push(wab * war * wbr);
-                }
-                block.compute_caps();
-                outs.clear();
-                ctx.solve_block(block, SolveRequest::sum_rate(plan.protocol), outs)
-                    .expect("closed-form batch solve is infallible");
-                weights
-                    .iter()
-                    .zip(outs.iter())
-                    .map(|(&w, o)| (w, o.value < plan.target))
-                    .collect()
-            });
+                    Ok(plan.net.with_state(plan.net.state().faded(fab, far, fbr)))
+                },
+                |(_, below), item, _, outcome| {
+                    below.push(outcome?.value < cells[item / trials].target);
+                    Ok(())
+                },
+            )
+            .expect("closed-form batch solve is infallible");
+            job_rows.extend(rows);
+        }
 
         // Serial trial-order reduction: bit-identical regardless of how
         // the jobs were scheduled.
@@ -557,8 +560,8 @@ impl Evaluator {
         }
         for (ci, plan) in plans.iter().enumerate() {
             let mut stats = WeightedTailStats::new();
-            for row in &job_rows[ci * blocks_per_cell..(ci + 1) * blocks_per_cell] {
-                for &(w, below) in row {
+            for (weights, below) in &job_rows[ci * blocks_per_cell..(ci + 1) * blocks_per_cell] {
+                for (&w, &below) in weights.iter().zip(below) {
                     stats.push(w, below);
                 }
             }

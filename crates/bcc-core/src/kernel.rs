@@ -38,8 +38,7 @@
 //! QoS floor, and resolves to a [`SolveOutcome`] through
 //! [`SolveCtx::solve_one`] (scalar), [`SolveCtx::solve_block`] (batched
 //! over a [`crate::batch::PointBlock`]) or [`SolveCtx::solve_best`]
-//! (argmax over protocols). The historical per-query methods
-//! (`sum_rate`, `max_min_rate`, …) remain as thin deprecated wrappers.
+//! (argmax over protocols).
 //!
 //! # The solve context
 //!
@@ -508,39 +507,6 @@ impl SolveCtx {
         lp_max_min_parts(prob, ws, sol, row, obj, set)
     }
 
-    /// Optimal achievable sum rate of `protocol` at `net` — the scalar
-    /// sweep/outage/DMT hot path: closed-form kernel where available,
-    /// warm-started simplex otherwise.
-    fn sum_rate_impl(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-    ) -> Result<SumRateSolution, CoreError> {
-        let caps = self.link_caps(net);
-        if let Some(sol) = max_sum_rate_from_caps(&caps, protocol) {
-            return Ok(sol);
-        }
-        let SolveCtx {
-            ws,
-            buf,
-            prob,
-            sol,
-            row,
-            obj,
-            ..
-        } = self;
-        buf.begin();
-        bounds::inner_constraints_from_caps_into(protocol, &caps, buf.next_set());
-        let pt = lp_sum_rate_parts(prob, ws, sol, row, obj, &buf.sets()[0], None)?;
-        Ok(SumRateSolution {
-            protocol,
-            sum_rate: pt.objective,
-            ra: pt.ra,
-            rb: pt.rb,
-            durations: pt.durations,
-        })
-    }
-
     /// The memoised per-point capacity bundle (see [`LinkCaps`]).
     fn link_caps(&mut self, net: &GaussianNetwork) -> LinkCaps {
         let powers = net.powers();
@@ -555,21 +521,13 @@ impl SolveCtx {
         caps
     }
 
-    /// Sum rate of `(protocol, bound)` with an optional QoS floor — the
-    /// general grid-point solve: outer bounds can be set *families*
-    /// (HBC's ρ-family, maximised over members), and floors can make
-    /// members — or the whole family — infeasible (the family is
-    /// infeasible only if every member is).
-    fn sum_rate_for_impl(
+    /// The max–min LP over the inner constraint set built from `caps` —
+    /// the HBC max–min, which has no closed form.
+    fn lp_max_min_caps(
         &mut self,
-        net: &GaussianNetwork,
         protocol: Protocol,
-        bound: Bound,
-        floor: Option<(f64, f64)>,
-    ) -> Result<SumRateSolution, CoreError> {
-        if bound == Bound::Inner && floor.is_none() {
-            return self.sum_rate_impl(net, protocol);
-        }
+        caps: &LinkCaps,
+    ) -> Result<SchedulePoint, CoreError> {
         let SolveCtx {
             ws,
             buf,
@@ -579,33 +537,53 @@ impl SolveCtx {
             obj,
             ..
         } = self;
-        let sets =
-            bounds::constraint_sets_split_into(protocol, bound, &net.powers(), &net.state(), buf);
-        let mut best: Option<SumRateSolution> = None;
+        buf.begin();
+        bounds::inner_constraints_from_caps_into(protocol, caps, buf.next_set());
+        lp_max_min_parts(prob, ws, sol, row, obj, &buf.sets()[0])
+    }
+
+    /// The simplex over `req`'s constraint family at `net`: outer bounds
+    /// can be set *families* (HBC's ρ-family), maximised over members,
+    /// and floors can make members — or the whole family — infeasible
+    /// (the family is infeasible only if every member is).
+    fn lp_family(
+        &mut self,
+        net: &GaussianNetwork,
+        req: SolveRequest,
+    ) -> Result<SchedulePoint, CoreError> {
+        let SolveCtx {
+            ws,
+            buf,
+            prob,
+            sol,
+            row,
+            obj,
+            ..
+        } = self;
+        let sets = bounds::constraint_sets_split_into(
+            req.protocol,
+            req.bound,
+            &net.powers(),
+            &net.state(),
+            buf,
+        );
+        let mut best: Option<SchedulePoint> = None;
         let mut infeasible: Option<CoreError> = None;
         for set in sets {
-            let pt = match lp_sum_rate_parts(prob, ws, sol, row, obj, set, floor) {
-                Ok(pt) => pt,
-                Err(e) if e.is_infeasible() => {
-                    infeasible = Some(e);
-                    continue;
-                }
-                Err(e) => return Err(e),
+            let pt = match req.objective {
+                Objective::SumRate => lp_sum_rate_parts(prob, ws, sol, row, obj, set, req.floor),
+                Objective::MaxMin => lp_max_min_parts(prob, ws, sol, row, obj, set),
             };
-            if best.as_ref().is_none_or(|b| pt.objective > b.sum_rate) {
-                best = Some(SumRateSolution {
-                    protocol,
-                    sum_rate: pt.objective,
-                    ra: pt.ra,
-                    rb: pt.rb,
-                    durations: pt.durations,
-                });
+            match pt {
+                Ok(pt) if best.as_ref().is_none_or(|b| pt.objective > b.objective) => {
+                    best = Some(pt)
+                }
+                Ok(_) => {}
+                Err(e) if e.is_infeasible() => infeasible = Some(e),
+                Err(e) => return Err(e),
             }
         }
-        match best {
-            Some(sol) => Ok(sol),
-            None => Err(infeasible.expect("constraint families are non-empty")),
-        }
+        best.ok_or_else(|| infeasible.expect("constraint families are non-empty"))
     }
 
     /// Resolves one [`SolveRequest`] at `net`: closed-form kernel where
@@ -636,13 +614,27 @@ impl SolveCtx {
             });
         }
         match req.objective {
-            Objective::SumRate => self
-                .sum_rate_for_impl(net, req.protocol, req.bound, req.floor)
-                .map(SolveOutcome::from_sum),
-            Objective::MaxMin => self
-                .max_min_for_impl(net, req.protocol, req.bound)
-                .map(|pt| SolveOutcome::from_mm(req.protocol, pt)),
+            Objective::SumRate if req.bound == Bound::Inner && req.floor.is_none() => {
+                let caps = self.link_caps(net);
+                if let Some(sol) = max_sum_rate_from_caps(&caps, req.protocol) {
+                    return Ok(SolveOutcome::from_sum(sol));
+                }
+            }
+            Objective::MaxMin if req.bound == Bound::Inner => {
+                let caps = self.link_caps(net);
+                let pt = match max_min_rate_from_caps(&caps, req.protocol) {
+                    Some(pt) => pt,
+                    None => self.lp_max_min_caps(req.protocol, &caps)?,
+                };
+                return Ok(SolveOutcome::from_mm(req.protocol, pt));
+            }
+            _ => {}
         }
+        let pt = self.lp_family(net, req)?;
+        Ok(SolveOutcome {
+            objective: req.objective,
+            ..SolveOutcome::from_mm(req.protocol, pt)
+        })
     }
 
     /// Resolves one [`SolveRequest`] for **every point of a block**,
@@ -651,19 +643,21 @@ impl SolveCtx {
     /// [Batchable](SolveRequest::is_batchable) requests run through the
     /// SIMD-ready lane kernels of [`crate::batch`] (bit-identical to the
     /// scalar path); the HBC max–min over the inner bound reuses the
-    /// block's capacity lanes and warm-starts the simplex per point;
-    /// everything else falls back to per-point [`SolveCtx::solve_one`].
+    /// block's capacity lanes and warm-starts the simplex per point.
+    /// Floored and outer-bound requests have no block form: solve them
+    /// per point with [`SolveCtx::solve_one`] (as
+    /// [`crate::batch::solve_jobs`] does).
     ///
     /// # Errors
     ///
-    /// Propagates LP failures from the non-batched paths; on error `out`
-    /// may hold outcomes for a prefix of the block.
+    /// Propagates LP failures from the HBC max–min; on error `out` may
+    /// hold outcomes for a prefix of the block.
     ///
     /// # Panics
     ///
-    /// Panics if the request is batchable (or HBC max–min over the inner
-    /// bound) and [`crate::batch::PointBlock::compute_caps`] has not run
-    /// since the block's last push.
+    /// Panics if the request is neither batchable nor an inner-bound
+    /// max–min, or if [`crate::batch::PointBlock::compute_caps`] has not
+    /// run since the block's last push.
     pub fn solve_block(
         &mut self,
         block: &crate::batch::PointBlock,
@@ -696,30 +690,15 @@ impl SolveCtx {
             }
             return Ok(());
         }
-        if req.objective == Objective::MaxMin && req.bound == Bound::Inner {
-            // HBC max–min (and floored max–min requests): share the
-            // block's capacity lanes, one warm-started LP per point.
-            for i in 0..block.len() {
-                let caps = block.caps(i);
-                let SolveCtx {
-                    ws,
-                    buf,
-                    prob,
-                    sol,
-                    row,
-                    obj,
-                    ..
-                } = self;
-                buf.begin();
-                bounds::inner_constraints_from_caps_into(req.protocol, &caps, buf.next_set());
-                let pt = lp_max_min_parts(prob, ws, sol, row, obj, &buf.sets()[0])?;
-                out.push(SolveOutcome::from_mm(req.protocol, pt));
-            }
-            return Ok(());
-        }
+        assert!(
+            req.objective == Objective::MaxMin && req.bound == Bound::Inner,
+            "solve_block has no block form for floored or outer-bound requests"
+        );
+        // HBC max–min: share the block's capacity lanes, one warm-started
+        // LP per point.
         for i in 0..block.len() {
-            let outcome = self.solve_one(&block.net(i), req)?;
-            out.push(outcome);
+            let pt = self.lp_max_min_caps(req.protocol, &block.caps(i))?;
+            out.push(SolveOutcome::from_mm(req.protocol, pt));
         }
         Ok(())
     }
@@ -766,177 +745,6 @@ impl SolveCtx {
             }
         }
         Ok(best)
-    }
-
-    /// Optimal achievable equal-rate (max–min) operating point of
-    /// `protocol` at `net` — closed-form kernel where available,
-    /// warm-started zero-allocation simplex otherwise.
-    fn max_min_rate_impl(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-    ) -> Result<SchedulePoint, CoreError> {
-        let caps = self.link_caps(net);
-        if let Some(pt) = max_min_rate_from_caps(&caps, protocol) {
-            return Ok(pt);
-        }
-        let SolveCtx {
-            ws,
-            buf,
-            prob,
-            sol,
-            row,
-            obj,
-            ..
-        } = self;
-        buf.begin();
-        bounds::inner_constraints_from_caps_into(protocol, &caps, buf.next_set());
-        lp_max_min_parts(prob, ws, sol, row, obj, &buf.sets()[0])
-    }
-
-    /// Max–min rate of `(protocol, bound)` — the general form of
-    /// [`SolveCtx::max_min_rate_impl`]: outer bounds can be set
-    /// *families* (HBC's ρ-family), maximised over members exactly like
-    /// [`SolveCtx::sum_rate_for_impl`].
-    fn max_min_for_impl(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-        bound: Bound,
-    ) -> Result<SchedulePoint, CoreError> {
-        if bound == Bound::Inner {
-            return self.max_min_rate_impl(net, protocol);
-        }
-        let SolveCtx {
-            ws,
-            buf,
-            prob,
-            sol,
-            row,
-            obj,
-            ..
-        } = self;
-        let sets =
-            bounds::constraint_sets_split_into(protocol, bound, &net.powers(), &net.state(), buf);
-        let mut best: Option<SchedulePoint> = None;
-        let mut infeasible: Option<CoreError> = None;
-        for set in sets {
-            let pt = match lp_max_min_parts(prob, ws, sol, row, obj, set) {
-                Ok(pt) => pt,
-                Err(e) if e.is_infeasible() => {
-                    infeasible = Some(e);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if best.as_ref().is_none_or(|b| pt.objective > b.objective) {
-                best = Some(pt);
-            }
-        }
-        match best {
-            Some(pt) => Ok(pt),
-            None => Err(infeasible.expect("constraint families are non-empty")),
-        }
-    }
-}
-
-/// Thin deprecated wrappers over the consolidated [`SolveRequest`] API —
-/// kept one release for downstream callers; each forwards to the same
-/// private implementation the new entry points use, so behaviour (and
-/// bit patterns) are unchanged.
-impl SolveCtx {
-    /// Optimal achievable sum rate of `protocol` at `net`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures (not expected for valid inputs).
-    #[deprecated(note = "use SolveCtx::solve_one with SolveRequest::sum_rate(protocol)")]
-    pub fn sum_rate(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-    ) -> Result<SumRateSolution, CoreError> {
-        self.sum_rate_impl(net, protocol)
-    }
-
-    /// Sum rate of `(protocol, bound)` with an optional QoS floor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures; with a floor, an infeasibility error means
-    /// the floor is unachievable at this operating point.
-    #[deprecated(
-        note = "use SolveCtx::solve_one with SolveRequest::sum_rate(protocol).with_bound(..).with_floor(..)"
-    )]
-    pub fn sum_rate_for(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-        bound: Bound,
-        floor: Option<(f64, f64)>,
-    ) -> Result<SumRateSolution, CoreError> {
-        self.sum_rate_for_impl(net, protocol, bound, floor)
-    }
-
-    /// Optimal achievable max–min operating point of `protocol` at `net`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures (not expected for valid inputs).
-    #[deprecated(note = "use SolveCtx::solve_one with SolveRequest::max_min(protocol)")]
-    pub fn max_min_rate(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-    ) -> Result<SchedulePoint, CoreError> {
-        self.max_min_rate_impl(net, protocol)
-    }
-
-    /// Max–min rate of `(protocol, bound)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures.
-    #[deprecated(
-        note = "use SolveCtx::solve_one with SolveRequest::max_min(protocol).with_bound(..)"
-    )]
-    pub fn max_min_for(
-        &mut self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-        bound: Bound,
-    ) -> Result<SchedulePoint, CoreError> {
-        self.max_min_for_impl(net, protocol, bound)
-    }
-
-    /// Selects the best protocol at `net` by optimal sum rate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-infeasibility LP failures.
-    #[deprecated(note = "use SolveCtx::solve_best with Objective::SumRate")]
-    pub fn best_sum_rate(
-        &mut self,
-        net: &GaussianNetwork,
-        protocols: &[Protocol],
-        bound: Bound,
-        floor: Option<(f64, f64)>,
-    ) -> Result<Option<SumRateSolution>, CoreError> {
-        Ok(self
-            .solve_best(net, protocols, Objective::SumRate, bound, floor)?
-            .map(|o| o.sum_rate_solution()))
-    }
-
-    /// The ε-outage allocation objective of one fade draw: twice the
-    /// max–min rate (equal-rate sum) of `protocol` at `net`, with a deep-
-    /// fade LP failure counting as rate 0 (the Monte-Carlo convention).
-    #[deprecated(
-        note = "use SolveCtx::solve_one with SolveRequest::max_min(protocol) and map 2·value"
-    )]
-    pub fn equal_rate_sum(&mut self, net: &GaussianNetwork, protocol: Protocol) -> f64 {
-        self.max_min_rate_impl(net, protocol)
-            .map(|pt| 2.0 * pt.objective)
-            .unwrap_or(0.0)
     }
 }
 
@@ -1165,39 +973,6 @@ mod tests {
                 let b = n.max_sum_rate(proto).unwrap();
                 assert_eq!(a, b, "{proto} at P={p}");
             }
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_the_typed_api() {
-        let mut ctx = SolveCtx::new();
-        let n = fig4(10.0);
-        for proto in Protocol::ALL {
-            let old = ctx.sum_rate(&n, proto).unwrap();
-            let new = ctx
-                .solve_one(&n, SolveRequest::sum_rate(proto))
-                .unwrap()
-                .sum_rate_solution();
-            assert_eq!(old, new, "sum_rate wrapper drifted for {proto}");
-            let old = ctx.sum_rate_for(&n, proto, Bound::Outer, None).unwrap();
-            let new = ctx
-                .solve_one(&n, SolveRequest::sum_rate(proto).with_bound(Bound::Outer))
-                .unwrap()
-                .sum_rate_solution();
-            assert_eq!(old, new, "sum_rate_for wrapper drifted for {proto}");
-            let old = ctx.max_min_for(&n, proto, Bound::Inner).unwrap();
-            let new = ctx
-                .solve_one(&n, SolveRequest::max_min(proto))
-                .unwrap()
-                .schedule_point();
-            assert_eq!(old, new, "max_min_for wrapper drifted for {proto}");
-            let old = ctx.equal_rate_sum(&n, proto);
-            let new = ctx
-                .solve_one(&n, SolveRequest::max_min(proto))
-                .map(|o| 2.0 * o.value)
-                .unwrap_or(0.0);
-            assert_eq!(old.to_bits(), new.to_bits(), "equal_rate_sum drifted");
         }
     }
 

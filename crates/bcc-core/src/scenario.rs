@@ -35,7 +35,10 @@
 //! ([`trial_stream`]) rather than one sequential RNG. The worker count
 //! comes from [`Scenario::threads`] if set, else the `BCC_THREADS`
 //! environment variable, else the machine's available parallelism —
-//! `BCC_THREADS=1` is a drop-in serial oracle for any run.
+//! `BCC_THREADS=1` is a drop-in serial oracle for any run. The blocked
+//! paths ([`Evaluator::sweep`], [`Evaluator::outage`]) run through
+//! [`batch::solve_jobs`], whose contract also makes them independent of
+//! the block size.
 //!
 //! # Example: a Fig. 3 relay-position sweep
 //!
@@ -54,19 +57,20 @@
 //! assert!((dt.sum_rates()[0] - dt.sum_rates()[18]).abs() < 1e-8);
 //! ```
 
-use crate::batch::PointBlock;
+use crate::batch;
 use crate::error::CoreError;
 use crate::gaussian::{GaussianNetwork, SumRateSolution};
-use crate::kernel::{SolveCtx, SolveOutcome, SolveRequest};
+use crate::kernel::{SolveCtx, SolveRequest};
 use crate::protocol::{Bound, Protocol, ProtocolMap};
 use crate::region::{RatePoint, RateRegion};
 use bcc_channel::fading::FadingModel;
 use bcc_channel::topology::LineNetwork;
 use bcc_channel::{ChannelState, PowerSplit};
-use bcc_num::faults::{self, FaultPlan, FaultScope, FaultSite};
+use bcc_num::faults::{self, FaultPlan};
 use bcc_num::{par, Db};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
 
 /// Mixes `(seed, k)` into a decorrelated child seed (SplitMix64
 /// finalisation). This is the workspace-wide seeding policy: all
@@ -412,10 +416,9 @@ impl Scenario {
     }
 
     /// Overrides the number of grid points per structure-of-arrays batch
-    /// block (see [`crate::batch::PointBlock`]); the default
-    /// ([`crate::batch::DEFAULT_BLOCK`]) balances lane amortisation
-    /// against cache residency. Results are bit-identical at every block
-    /// size — this knob only trades scheduling granularity.
+    /// block; the default ([`crate::batch::DEFAULT_BLOCK`]) balances lane
+    /// amortisation against cache residency. Results do not depend on it
+    /// (see [`batch::solve_jobs`]).
     ///
     /// # Panics
     ///
@@ -426,17 +429,15 @@ impl Scenario {
         self
     }
 
-    /// Arms a deterministic fault-injection plan for the batched sweep
-    /// paths (chaos testing; see [`bcc_num::faults`]).
+    /// Arms a deterministic fault-injection plan for [`Evaluator::sweep`]
+    /// (chaos testing; see [`bcc_num::faults`]). Grid point `i` is solved
+    /// in the fault scope of index `i` (see [`batch::solve_jobs`]).
     ///
-    /// Each grid point runs under a [`FaultScope`] keyed by its global
-    /// point index, so the injection schedule is bit-reproducible across
-    /// thread counts and block sizes. A point whose kernel is poisoned
-    /// (or whose solver resources are exhausted by an armed
-    /// `LpIterationLimit` site) degrades to a [`SweepResult::skipped`]
-    /// entry — exactly the per-point containment genuinely infeasible
-    /// points already get — instead of aborting the batch. The empty plan
-    /// (the default) changes nothing, bit for bit.
+    /// A point whose kernel is poisoned (or whose solver resources are
+    /// exhausted by an armed `LpIterationLimit` site) degrades to a
+    /// [`SweepResult::skipped`] entry — exactly the per-point containment
+    /// genuinely infeasible points already get — instead of aborting the
+    /// batch. The empty plan (the default) changes nothing, bit for bit.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -450,20 +451,6 @@ impl Scenario {
     /// The effective points-per-block of the batched paths.
     pub(crate) fn effective_block_size(&self) -> usize {
         self.block_size.unwrap_or(crate::batch::DEFAULT_BLOCK)
-    }
-
-    /// Optimal sum rate of `protocol` at `net` under this scenario's bound
-    /// selection and optional QoS floor, solved through `ctx` (each
-    /// parallel worker owns one [`SolveCtx`]: closed-form kernel where
-    /// available, warm-started zero-allocation simplex otherwise).
-    fn solve_point_with(
-        &self,
-        net: &GaussianNetwork,
-        protocol: Protocol,
-        ctx: &mut SolveCtx,
-    ) -> Result<SumRateSolution, CoreError> {
-        ctx.solve_one(net, self.sum_request(protocol))
-            .map(|o| o.sum_rate_solution())
     }
 
     /// The sweep's [`SolveRequest`] for `protocol` under this scenario's
@@ -532,8 +519,8 @@ impl Evaluator {
             .unwrap_or_else(bcc_num::par::thread_count)
     }
 
-    /// Runs the batched sum-rate evaluation over the whole grid, grid
-    /// points fanned across the worker pool.
+    /// Runs the batched sum-rate evaluation over the whole grid, one
+    /// [`batch::solve_jobs`] job per grid block.
     ///
     /// A grid point whose LP is *infeasible* does not abort the batch: the
     /// affected protocol's entry becomes a NaN placeholder and the solve is
@@ -552,156 +539,95 @@ impl Evaluator {
         let sc = &self.scenario;
         let protocols = sc.protocols.clone();
         let npoints = sc.points.len();
-        let nproto = protocols.len();
-
-        // Inner-bound sweeps without a QoS floor are fully closed-form, so
-        // the grid runs through the SoA lane kernels: one job per
-        // [`PointBlock`], each worker reusing its block and per-protocol
-        // scratch across jobs. Every point is solved independently of its
-        // blockmates, so the results are bit-identical to the scalar path
-        // at any block size or thread count. Outer bounds and floored
-        // sweeps keep the per-point simplex fan-out.
-        let batchable = protocols.iter().all(|&p| sc.sum_request(p).is_batchable());
-        let plan = sc.faults;
-        let flat: Vec<Result<SumRateSolution, CoreError>> = if batchable {
-            let bsz = sc.effective_block_size();
-            let nblocks = npoints.div_ceil(bsz);
-            let worker = || {
-                (
-                    SolveCtx::new(),
-                    PointBlock::new(),
-                    vec![Vec::<SolveOutcome>::new(); nproto],
-                )
-            };
-            let blocks: Vec<Vec<Result<SumRateSolution, CoreError>>> =
-                par::try_par_map_range(threads, nblocks, worker, |(ctx, block, outs), j| {
-                    let lo = j * bsz;
-                    let hi = (lo + bsz).min(npoints);
-                    // Chaos pre-check: a block containing a poisoned
-                    // point falls back to per-point scalar solves, which
-                    // are bitwise-equal to the lane kernels for its
-                    // healthy blockmates — so the poison is contained to
-                    // its own point at any block size. The fate of point
-                    // `i` is a pure function of `(plan, i)`, never of the
-                    // block it happens to share.
-                    if !plan.is_empty() {
-                        let poisoned = (lo..hi).any(|i| {
-                            let _scope = FaultScope::enter(
-                                &plan,
-                                faults::scope_token(plan.seed(), i as u64),
-                            );
-                            faults::site_fated(FaultSite::KernelPoison)
-                        });
-                        if poisoned {
-                            let mut flat = Vec::with_capacity((hi - lo) * nproto);
-                            for i in lo..hi {
-                                let _scope = FaultScope::enter(
-                                    &plan,
-                                    faults::scope_token(plan.seed(), i as u64),
-                                );
-                                for &p in protocols.iter() {
-                                    flat.push(classify_solve(sc.solve_point_with(
-                                        &sc.points[i].net,
-                                        p,
-                                        ctx,
-                                    ))?);
-                                }
-                            }
-                            return Ok(flat);
-                        }
-                    }
-                    block.clear();
-                    for pt in &sc.points[lo..hi] {
-                        block.push_net(&pt.net);
-                    }
-                    block.compute_caps();
-                    for (pi, &p) in protocols.iter().enumerate() {
-                        outs[pi].clear();
-                        ctx.solve_block(block, sc.sum_request(p), &mut outs[pi])?;
-                    }
-                    // Interleave back to the (point, protocol)-major order
-                    // the assembly loop expects.
-                    let mut flat = Vec::with_capacity((hi - lo) * nproto);
-                    for i in 0..hi - lo {
-                        for lane in outs.iter() {
-                            flat.push(Ok(lane[i].sum_rate_solution()));
-                        }
-                    }
-                    Ok(flat)
-                })?;
-            blocks.into_iter().flatten().collect()
-        } else {
-            // Fan the flat `point × protocol` grid across the workers — no
-            // per-point collection vector, so the only steady-state
-            // allocations are the chunked result buffers the scheduler
-            // amortises across many solves.
-            par::try_par_map_range(threads, npoints * nproto, SolveCtx::new, |ctx, k| {
-                let point = k / nproto;
-                let net = &sc.points[point].net;
-                // Scope keyed per *point* (not per flat item), so every
-                // protocol of a poisoned point shares one fate.
-                let _scope =
-                    FaultScope::enter(&plan, faults::scope_token(plan.seed(), point as u64));
-                classify_solve(sc.solve_point_with(net, sc.protocols[k % nproto], ctx))
-            })?
-        };
-
-        let mut series: ProtocolMap<ProtocolSeries> = ProtocolMap::new();
-        for &p in &protocols {
-            series.insert(
-                p,
-                ProtocolSeries {
-                    protocol: p,
-                    solutions: Vec::with_capacity(npoints),
-                },
-            );
-        }
-        let mut winners = Vec::with_capacity(npoints);
-        let mut skipped = Vec::new();
-        let mut flat = flat.into_iter();
-        for i in 0..npoints {
-            let x = sc.points[i].x;
-            let mut winner: Option<(Protocol, f64)> = None;
-            let mut any_skip = false;
-            for &p in &protocols {
-                let outcome = flat.next().expect("one result per (point, protocol)");
-                let sol = match outcome {
-                    Ok(sol) => sol,
-                    Err(error) => {
-                        any_skip = true;
-                        skipped.push(SkippedSolve {
-                            index: i,
-                            x,
-                            protocol: p,
-                            error,
-                        });
-                        SumRateSolution {
-                            protocol: p,
-                            sum_rate: f64::NAN,
-                            ra: f64::NAN,
-                            rb: f64::NAN,
-                            durations: crate::constraint::PhaseVec::new(),
-                        }
-                    }
+        let requests: Vec<SolveRequest> = protocols.iter().map(|&p| sc.sum_request(p)).collect();
+        let bsz = sc.effective_block_size();
+        let njobs = npoints.div_ceil(bsz);
+        // The result columns start as skipped-solve placeholders and are
+        // written in place: job `j` owns block `j` of every column, so the
+        // sweep allocates its output once and copies nothing.
+        let mut cols: Vec<Vec<SumRateSolution>> = protocols
+            .iter()
+            .map(|&protocol| {
+                let placeholder = SumRateSolution {
+                    protocol,
+                    sum_rate: f64::NAN,
+                    ra: f64::NAN,
+                    rb: f64::NAN,
+                    durations: crate::constraint::PhaseVec::new(),
                 };
-                if sol.sum_rate.is_finite() && winner.is_none_or(|(_, best)| sol.sum_rate > best) {
-                    winner = Some((p, sol.sum_rate));
+                vec![placeholder; npoints]
+            })
+            .collect();
+        let skipped: Vec<SkippedSolve> = {
+            let mut chunks: Vec<_> = cols.iter_mut().map(|col| col.chunks_mut(bsz)).collect();
+            let blocks: Vec<Mutex<Vec<&mut [SumRateSolution]>>> = (0..njobs)
+                .map(|_| Mutex::new(chunks.iter_mut().flat_map(Iterator::next).collect()))
+                .collect();
+            batch::solve_jobs(
+                threads,
+                bsz,
+                &requests,
+                &sc.faults,
+                njobs,
+                |j| {
+                    let mut block = blocks[j].lock().expect("held only to take the block");
+                    let block = std::mem::take(&mut *block);
+                    (
+                        batch::block_range(j, bsz, npoints),
+                        (j * bsz, block, Vec::new()),
+                    )
+                },
+                |_, i| Ok(sc.points[i].net),
+                |(lo, block, skipped), i, r, outcome| {
+                    match classify_solve(outcome.map(|o| o.sum_rate_solution()))? {
+                        Ok(sol) => block[r][i - *lo] = sol,
+                        Err(error) => skipped.push(SkippedSolve {
+                            index: i,
+                            x: sc.points[i].x,
+                            protocol: protocols[r],
+                            error,
+                        }),
+                    }
+                    Ok(())
+                },
+            )?
+            .into_iter()
+            .flat_map(|(_, _, skipped)| skipped)
+            .collect()
+        };
+        let mut winners = Vec::with_capacity(npoints);
+        let mut skips = skipped.iter().map(|s| s.index).peekable();
+        for i in 0..npoints {
+            let mut winner: Option<(Protocol, f64)> = None;
+            for (col, &p) in cols.iter().zip(&protocols) {
+                let rate = col[i].sum_rate;
+                if rate.is_finite() && winner.is_none_or(|(_, best)| rate > best) {
+                    winner = Some((p, rate));
                 }
-                series
-                    .get_mut(p)
-                    .expect("series pre-populated")
-                    .solutions
-                    .push(sol);
+            }
+            let mut any_skip = false;
+            while skips.next_if_eq(&i).is_some() {
+                any_skip = true;
             }
             match winner {
                 Some((w, _)) => winners.push(Some(w)),
                 None if any_skip => winners.push(None),
                 None => {
                     return Err(CoreError::NoFiniteOptimum {
-                        context: format!("{} sweep at x = {x}", sc.x_name),
+                        context: format!("{} sweep at x = {}", sc.x_name, sc.points[i].x),
                     })
                 }
             }
+        }
+        let mut series: ProtocolMap<ProtocolSeries> = ProtocolMap::new();
+        for (&protocol, solutions) in protocols.iter().zip(cols) {
+            series.insert(
+                protocol,
+                ProtocolSeries {
+                    protocol,
+                    solutions,
+                },
+            );
         }
         Ok(SweepResult {
             x_name: sc.x_name.clone(),
@@ -726,7 +652,8 @@ impl Evaluator {
             let GridPoint { x, net } = sc.points[i];
             let mut solutions = ProtocolMap::new();
             for &p in &sc.protocols {
-                solutions.insert(p, sc.solve_point_with(&net, p, ctx)?);
+                let sol = ctx.solve_one(&net, sc.sum_request(p))?;
+                solutions.insert(p, sol.sum_rate_solution());
             }
             Ok(ComparisonResult {
                 x,
@@ -829,10 +756,8 @@ impl Evaluator {
     }
 
     /// The shared Monte-Carlo core of [`Evaluator::outage`] and
-    /// [`Evaluator::dmt`]: per grid point and trial, one i.i.d. fade per
-    /// link, then every selected protocol's optimal sum rate on the faded
-    /// network, fanned across the worker pool as a flat `point × trial`
-    /// grid. Returns `samples[protocol][point][trial]`.
+    /// [`Evaluator::dmt`]: [`fading_samples`] over the grid's networks.
+    /// Returns the spec and `samples[protocol][point][trial]`.
     pub(crate) fn fading_sum_rate_samples(&self) -> (FadingSpec, ProtocolMap<Vec<Vec<f64>>>) {
         assert!(
             self.scenario.rate_floor.is_none(),
@@ -844,79 +769,91 @@ impl Evaluator {
             .scenario
             .fading
             .expect("scenario has no fading model; attach one with Scenario::fading(...)");
-        let threads = self.thread_count();
         let sc = &self.scenario;
-        let protocols = &sc.protocols;
-        let points = &sc.points;
-        let single = points.len() == 1;
-        let trials = spec.trials;
-
-        // Fan the full `point × trial` grid across the workers in
-        // [`PointBlock`]-sized chunks (a single-point 10k-trial study must
-        // still parallelise). Flat index `k` is point `k / trials`, trial
-        // `k % trials`; the per-trial seed streams make every index
-        // independent of its blockmates, so the blocked fan-out is exactly
-        // the serial loop flattened — bit-identical at any block size or
-        // thread count. Fading always solves the unconstrained inner
-        // optimum (the assert above), so every draw takes the closed-form
-        // lane kernels.
-        let total = points.len() * trials;
-        let bsz = sc.effective_block_size();
-        let nblocks = total.div_ceil(bsz);
-        let nproto = protocols.len();
-        let worker = || {
-            (
-                SolveCtx::new(),
-                PointBlock::new(),
-                vec![Vec::<SolveOutcome>::new(); nproto],
-            )
-        };
-        let blocks: Vec<Vec<Vec<f64>>> =
-            par::par_map_range(threads, nblocks, worker, |(ctx, block, outs), j| {
-                let lo = j * bsz;
-                let hi = (lo + bsz).min(total);
-                block.clear();
-                for k in lo..hi {
-                    let GridPoint { net, .. } = points[k / trials];
-                    // Keep the classic single-point stream bit-compatible
-                    // with `McConfig::trial_rng`; decorrelate additional
-                    // points.
-                    let point_seed = if single {
-                        spec.seed
-                    } else {
-                        mix_seed(spec.seed, (k / trials) as u64)
-                    };
-                    let mut rng = trial_stream(point_seed, (k % trials) as u64);
-                    let faded_net = net.with_state(net.state().faded(
-                        spec.model.sample_power(&mut rng),
-                        spec.model.sample_power(&mut rng),
-                        spec.model.sample_power(&mut rng),
-                    ));
-                    block.push_net(&faded_net);
-                }
-                block.compute_caps();
-                for (pi, &p) in protocols.iter().enumerate() {
-                    outs[pi].clear();
-                    ctx.solve_block(block, SolveRequest::sum_rate(p), &mut outs[pi])
-                        .expect("closed-form batch solve is infallible");
-                }
-                (0..hi - lo)
-                    .map(|i| outs.iter().map(|lane| lane[i].value).collect())
-                    .collect()
-            });
-        let rows = blocks.into_iter().flatten();
-
-        let mut samples: ProtocolMap<Vec<Vec<f64>>> = ProtocolMap::new();
-        for &p in protocols {
-            samples.insert(p, vec![Vec::with_capacity(trials); points.len()]);
-        }
-        for (k, row) in rows.enumerate() {
-            for (&p, rate) in protocols.iter().zip(row) {
-                samples.get_mut(p).expect("pre-populated")[k / trials].push(rate);
-            }
-        }
+        let nets: Vec<GaussianNetwork> = sc.points.iter().map(|p| p.net).collect();
+        let samples = fading_samples(
+            self.thread_count(),
+            sc.effective_block_size(),
+            &sc.protocols,
+            &spec,
+            &nets,
+        );
         (spec, samples)
     }
+}
+
+/// The fading Monte-Carlo core of [`Evaluator::outage`],
+/// [`Evaluator::dmt`] and the multi-pair outage study: per network of
+/// `nets` (one seed stream each) and trial, one i.i.d. fade per link, then
+/// every protocol's optimal sum rate on the faded network, solved as a
+/// flat `stream × trial` item list through [`batch::solve_jobs`]. Trial
+/// `t` of stream `s` draws from `trial_stream(mix_seed(seed, s), t)`,
+/// except that a lone stream uses the master seed itself (the classic
+/// `McConfig` stream). Fading studies solve the unconstrained inner
+/// optimum, so every draw takes the lane kernels. Returns
+/// `samples[protocol][stream][trial]`.
+pub(crate) fn fading_samples(
+    threads: usize,
+    block: usize,
+    protocols: &[Protocol],
+    spec: &FadingSpec,
+    nets: &[GaussianNetwork],
+) -> ProtocolMap<Vec<Vec<f64>>> {
+    let trials = spec.trials;
+    let total = nets.len() * trials;
+    let nproto = protocols.len();
+    let requests: Vec<_> = protocols
+        .iter()
+        .copied()
+        .map(SolveRequest::sum_rate)
+        .collect();
+    let parts = batch::solve_jobs(
+        threads,
+        block,
+        &requests,
+        &FaultPlan::none(),
+        total.div_ceil(block),
+        |j| {
+            let items = batch::block_range(j, block, total);
+            let rates = Vec::with_capacity(items.len() * nproto);
+            (items, rates)
+        },
+        |_, m| {
+            let (stream, net) = (m / trials, nets[m / trials]);
+            let seed = if nets.len() == 1 {
+                spec.seed
+            } else {
+                mix_seed(spec.seed, stream as u64)
+            };
+            let mut rng = trial_stream(seed, (m % trials) as u64);
+            Ok(net.with_state(net.state().faded(
+                spec.model.sample_power(&mut rng),
+                spec.model.sample_power(&mut rng),
+                spec.model.sample_power(&mut rng),
+            )))
+        },
+        |rates, _, _, outcome| {
+            rates.push(outcome?.value);
+            Ok(())
+        },
+    )
+    .expect("closed-form batch solve is infallible");
+
+    let mut samples: ProtocolMap<Vec<Vec<f64>>> = ProtocolMap::new();
+    for &p in protocols {
+        samples.insert(
+            p,
+            (0..nets.len())
+                .map(|_| Vec::with_capacity(trials))
+                .collect(),
+        );
+    }
+    for (m, row) in parts.iter().flat_map(|r| r.chunks(nproto)).enumerate() {
+        for (&p, &rate) in protocols.iter().zip(row) {
+            samples.get_mut(p).expect("pre-populated")[m / trials].push(rate);
+        }
+    }
+    samples
 }
 
 /// One protocol's column of a [`SweepResult`]: the full

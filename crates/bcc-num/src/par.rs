@@ -175,8 +175,14 @@ where
     if workers == 1 {
         // In-order evaluation stops at the first failure by construction,
         // so no catching is needed to make the failure deterministic.
+        // Sized up front: a collect through the `Result` adapter would
+        // grow by doubling and keep up to twice the memory.
         let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            out.push(f(&mut state, i)?);
+        }
+        return Ok(out);
     }
 
     /// One item's outcome, with panics reified so the lowest-index rule

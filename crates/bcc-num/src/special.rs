@@ -8,8 +8,7 @@
 //! * [`log2_1p`] — `log2(1+x)` computed via `ln_1p` so the AWGN capacity
 //!   `C(x)` stays accurate for the tiny SNRs that show up in deep-fade
 //!   Monte-Carlo draws.
-//! * [`log_sum_exp`] — numerically stable soft-max accumulator used by the
-//!   joint-typicality and LDPC modules.
+//! * [`log_sum_exp`] — numerically stable soft-max accumulator.
 //! * [`ln_gamma`] / [`gamma_p`] / [`gamma_q`] — log-gamma and the
 //!   regularized incomplete gamma functions, the CDF/survival machinery
 //!   behind the analytic Nakagami-m outage tails of the deep-outage engine.

@@ -27,10 +27,11 @@ use crate::engine::{
 use crate::quant::QuantKey;
 use crate::query::{Decision, DecisionCore, Priority, Query, Rejected, ServeError, ServedFrom};
 use crate::stats::ServeStats;
-use bcc_core::batch::{PointBlock, DEFAULT_BLOCK};
+use bcc_core::batch::{self, DEFAULT_BLOCK};
 use bcc_core::protocol::Protocol;
 use bcc_core::{SolveCtx, SolveOutcome, SolveRequest};
-use bcc_num::par::{par_map_indexed_with, par_map_range};
+use bcc_num::faults::FaultPlan;
+use bcc_num::par::par_map_indexed_with;
 use std::collections::HashMap;
 
 /// What one drained batch cost — the serving-path counterpart of
@@ -335,77 +336,59 @@ impl Server {
 
 /// Solves a batch's deduplicated misses, in miss order.
 ///
-/// Inner-bound floor-free misses — the overwhelmingly common shape — are
-/// solved through the SoA lane kernels of [`bcc_core::batch`]: the
-/// snapped networks are packed into [`PointBlock`]s, each block solved
-/// for all four protocols at once, and the per-miss argmax replicates
-/// [`SolveCtx::solve_best`] exactly (strict `>`, earliest protocol wins
-/// ties), so decisions stay bit-identical to the serial engine. Floored
-/// or outer-bound misses keep the per-miss simplex path. Each returned
-/// [`SolvedMiss`] carries the same cost accounting as the scalar path
-/// (one kernel solve per protocol; zero simplex solves).
+/// Inner-bound floor-free misses — the overwhelmingly common shape — go
+/// through [`batch::solve_jobs`], all four protocols per miss, with the
+/// argmax of [`SolveCtx::solve_best`] (strict `>`, earliest protocol wins
+/// ties) and its cost accounting; floored or outer-bound misses keep the
+/// per-miss simplex path.
 fn solve_misses(threads: usize, misses: &[Query]) -> Vec<SolvedMiss> {
-    let (mut batchable, mut scalar) = (Vec::new(), Vec::new());
-    for (i, q) in misses.iter().enumerate() {
-        if SolveRequest::sum_rate(Protocol::Hbc)
-            .with_bound(q.bound)
-            .with_floor(q.floor)
+    let (batchable, scalar): (Vec<usize>, Vec<usize>) = (0..misses.len()).partition(|&i| {
+        SolveRequest::sum_rate(Protocol::Hbc)
+            .with_bound(misses[i].bound)
+            .with_floor(misses[i].floor)
             .is_batchable()
-        {
-            batchable.push(i);
-        } else {
-            scalar.push(i);
-        }
-    }
+    });
 
-    let mut solved: Vec<Option<SolvedMiss>> = Vec::new();
-    solved.resize_with(misses.len(), || None);
+    let mut solved: Vec<Option<SolvedMiss>> = (0..misses.len()).map(|_| None).collect();
 
-    let nblocks = batchable.len().div_ceil(DEFAULT_BLOCK);
-    let worker = || {
-        (
-            SolveCtx::new(),
-            PointBlock::new(),
-            vec![Vec::<SolveOutcome>::new(); Protocol::ALL.len()],
-        )
-    };
-    let blocks: Vec<Vec<SolvedMiss>> =
-        par_map_range(threads, nblocks, worker, |(ctx, block, outs), b| {
-            let lo = b * DEFAULT_BLOCK;
-            let hi = (lo + DEFAULT_BLOCK).min(batchable.len());
-            block.clear();
-            for &mi in &batchable[lo..hi] {
-                block.push_net(&misses[mi].network());
+    let requests = Protocol::ALL.map(SolveRequest::sum_rate);
+    let blocks = batch::solve_jobs(
+        threads,
+        DEFAULT_BLOCK,
+        &requests,
+        &FaultPlan::none(),
+        batchable.len().div_ceil(DEFAULT_BLOCK),
+        |j| {
+            let items = batch::block_range(j, DEFAULT_BLOCK, batchable.len());
+            let out = Vec::with_capacity(items.len());
+            (items, (out, None::<SolveOutcome>))
+        },
+        |_, b| Ok(misses[batchable[b]].network()),
+        |(out, best), _, r, outcome| {
+            let outcome = outcome?;
+            if best.is_none_or(|b| outcome.value > b.value) {
+                *best = Some(*outcome);
             }
-            block.compute_caps();
-            for (pi, &p) in Protocol::ALL.iter().enumerate() {
-                outs[pi].clear();
-                ctx.solve_block(block, SolveRequest::sum_rate(p), &mut outs[pi])
-                    .expect("closed-form batch solve is infallible");
+            if r + 1 == requests.len() {
+                let best = best.take().expect("Protocol::ALL is non-empty");
+                out.push(SolvedMiss {
+                    outcome: Ok(Outcome::Decided(DecisionCore::from_solution(
+                        &best.sum_rate_solution(),
+                    ))),
+                    kernel_solves: requests.len() as u64,
+                    simplex_solves: 0,
+                    warm_hits: 0,
+                    pivots: 0,
+                });
             }
-            (0..hi - lo)
-                .map(|i| {
-                    let mut best: Option<&SolveOutcome> = None;
-                    for lane in outs.iter() {
-                        let out = &lane[i];
-                        if best.is_none_or(|b| out.value > b.value) {
-                            best = Some(out);
-                        }
-                    }
-                    let best = best.expect("Protocol::ALL is non-empty");
-                    SolvedMiss {
-                        outcome: Ok(Outcome::Decided(DecisionCore::from_solution(
-                            &best.sum_rate_solution(),
-                        ))),
-                        kernel_solves: Protocol::ALL.len() as u64,
-                        simplex_solves: 0,
-                        warm_hits: 0,
-                        pivots: 0,
-                    }
-                })
-                .collect()
-        });
-    for (&mi, miss) in batchable.iter().zip(blocks.into_iter().flatten()) {
+            Ok(())
+        },
+    )
+    .expect("closed-form batch solve is infallible");
+    for (&mi, miss) in batchable
+        .iter()
+        .zip(blocks.into_iter().flat_map(|(out, _)| out))
+    {
         solved[mi] = Some(miss);
     }
 
