@@ -8,17 +8,29 @@
 //! mechanisms concretely so the simulators in `bcc-sim` can run the
 //! protocols end to end:
 //!
-//! * [`gf2`] — dense GF(2) linear algebra (rank, solving, products) and
-//!   the bit-vector XOR the relay's network coding is built on.
+//! * [`gf2`] — dense GF(2) linear algebra (rank, solving, products).
+//! * [`group`] — the additive message group `L = max(⌊2^{nR_a}⌋,
+//!   ⌊2^{nR_b}⌋)` with XOR-combining and per-terminal recovery.
 //! * [`binning`] — random binning `s_a(·), s_b(·)` for rate-asymmetric
 //!   relaying with side information.
+//! * [`block`] — generic binary linear block codes with brute-force ML and
+//!   syndrome decoding.
 //! * [`hamming`] — the `[7,4,3]` Hamming code (syndrome decoder).
+//! * [`repetition`] — repetition codes with majority decoding.
+//! * [`ldpc`] — regular Gallager LDPC codes with bit-flipping decoding,
+//!   used for the waterfall validation experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod binning;
+pub mod block;
+pub mod crc;
 pub mod gf2;
+pub mod group;
 pub mod hamming;
+pub mod ldpc;
+pub mod repetition;
 
 pub use gf2::BitMatrix;
+pub use group::MessageGroup;

@@ -1,7 +1,9 @@
 //! Property-based tests of the coding substrate.
 
 use bcc_coding::binning::BinPartition;
+use bcc_coding::block::LinearCode;
 use bcc_coding::gf2::{hamming_distance, weight, xor_bits, BitMatrix};
+use bcc_coding::group::MessageGroup;
 use bcc_coding::hamming::Hamming74;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -13,6 +15,22 @@ fn bits(n: usize) -> impl Strategy<Value = Vec<u8>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn group_roundtrip(order in 1u64..10_000, wa_raw in 0u64..10_000, wb_raw in 0u64..10_000) {
+        let g = MessageGroup::new(order);
+        let wa = wa_raw % order;
+        let wb = wb_raw % order;
+        let wr = g.combine(wa, wb);
+        prop_assert_eq!(g.recover_a(wr, wb), wa);
+        prop_assert_eq!(g.recover_b(wr, wa), wb);
+    }
+
+    #[test]
+    fn group_combine_is_commutative(order in 1u64..1000, a in 0u64..1000, b in 0u64..1000) {
+        let g = MessageGroup::new(order);
+        prop_assert_eq!(g.combine(a % order, b % order), g.combine(b % order, a % order));
+    }
 
     #[test]
     fn xor_involution(a in bits(16), b in bits(16)) {
@@ -27,6 +45,24 @@ proptest! {
         let mut cw = code.encode(&msg);
         cw[pos] ^= 1;
         prop_assert_eq!(code.decode(&cw), msg);
+    }
+
+    #[test]
+    fn random_code_encode_decode_clean(seed in 0u64..1000, msg in bits(5)) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let code = LinearCode::random(12, 5, &mut rng);
+        let (decoded, dist) = code.decode_ml(&code.encode(&msg));
+        prop_assert_eq!(decoded, msg);
+        prop_assert_eq!(dist, 0);
+    }
+
+    #[test]
+    fn linearity_of_random_codes(seed in 0u64..500, a in bits(4), b in bits(4)) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let code = LinearCode::random(10, 4, &mut rng);
+        let sum_then_encode = code.encode(&xor_bits(&a, &b));
+        let encode_then_sum = xor_bits(&code.encode(&a), &code.encode(&b));
+        prop_assert_eq!(sum_then_encode, encode_then_sum);
     }
 
     #[test]
@@ -64,5 +100,14 @@ proptest! {
         for w in 0..n_msgs {
             prop_assert!(p.bin_members(p.bin_of(w)).contains(&w));
         }
+    }
+
+    #[test]
+    fn codeword_xor_matches_message_xor(seed in 0u64..500, wa in bits(4), wb in bits(4)) {
+        // The physical-layer network-coding identity used by the relay.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let code = LinearCode::random(9, 4, &mut rng);
+        let relay = code.xor_codewords(&code.encode(&wa), &code.encode(&wb));
+        prop_assert_eq!(relay, code.encode(&xor_bits(&wa, &wb)));
     }
 }
