@@ -84,6 +84,7 @@
 use bcc_bench::{benchjson, fig4_network, results_dir, FIG3_GAB_DB, FIG3_POWER_DB};
 use bcc_core::comparison::sum_rate_crossover_db;
 use bcc_core::prelude::*;
+use bcc_num::obs::{self, Counter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -117,28 +118,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Panic-hook invocations whose payload is *not* the injected chaos
-/// marker — a genuine panic anywhere in the run. The serve scenario's
-/// chaos pass gates on this staying zero.
-static GENUINE_PANICS: AtomicU64 = AtomicU64::new(0);
-
-/// Counts genuine panics and silences the injected ones (their unwinds
-/// are caught and degraded by the serve engine; the default hook would
-/// bury the report in backtraces).
-fn install_panic_audit() {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("injected worker panic"));
-        if !injected {
-            GENUINE_PANICS.fetch_add(1, Relaxed);
-            previous(info);
-        }
-    }));
-}
 
 /// Default regression tolerance of `--check`: measured wall time may
 /// exceed the baseline by at most this factor. Override with
@@ -206,27 +185,21 @@ fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 ///
 /// Every measured workload below pins itself to one worker
 /// (`Scenario::threads(1)`), which runs inline on this thread — so the
-/// *thread-local* solver counters capture it completely while staying
-/// immune to anything else the process may be doing (the same helper the
-/// in-process gate tests use; see `bcc_lp::stats::scoped`). The
-/// allocation counter has no thread-local twin, but the binary is
-/// single-threaded outside the parallel timing runs.
+/// thread-local [`obs`] counters capture it completely while staying
+/// immune to anything else the process may be doing (the same registry
+/// the in-process gate tests read). The allocation counter is
+/// process-wide, but the binary is single-threaded outside the parallel
+/// timing runs.
 fn measure_mix(units: usize, f: impl FnOnce()) -> SolveMix {
-    let k0 = bcc_core::kernel::kernel_hits_local();
-    let b0 = bcc_core::batch::stats::batched_points_local();
-    let l0 = bcc_core::batch::stats::lanes_filled_local();
     let a0 = ALLOCS.load(Relaxed);
-    let ((), lp) = bcc_lp::stats::scoped(f);
-    let kernel_hits = bcc_core::kernel::kernel_hits_local() - k0;
-    let batched_points = bcc_core::batch::stats::batched_points_local() - b0;
-    let lanes_filled = bcc_core::batch::stats::lanes_filled_local() - l0;
+    let ((), c) = obs::scoped(f);
     let allocs = ALLOCS.load(Relaxed) - a0;
     SolveMix {
-        pivots: lp.pivots,
-        warm_hits: lp.warm_hits,
-        kernel_hits,
-        batched_points,
-        lanes_filled,
+        pivots: c[Counter::LpPivots],
+        warm_hits: c[Counter::LpWarmHits],
+        kernel_hits: c[Counter::KernelHits],
+        batched_points: c[Counter::BatchedPoints],
+        lanes_filled: c[Counter::LanesFilled],
         allocs_per_point: allocs as f64 / units.max(1) as f64,
     }
 }
@@ -605,7 +578,7 @@ fn time_city(parallel_threads: usize) -> Timing {
 /// gate asserts on.
 fn time_serve(parallel_threads: usize) -> Timing {
     use bcc_bench::servestudy;
-    use bcc_serve::{ServedFrom, Server};
+    use bcc_serve::{ServeStats, ServedFrom, Server};
 
     let queries = servestudy::mixed_stream().queries(servestudy::MIXED_QUERIES);
     let drain_all = |threads: usize| {
@@ -639,13 +612,14 @@ fn time_serve(parallel_threads: usize) -> Timing {
     let mut server = Server::new(&servestudy::config());
     let mut latencies_us = Vec::with_capacity(queries.len());
     let t0 = Instant::now();
-    let ((), serve_delta) = bcc_serve::stats::scoped(|| {
+    let ((), serve_delta) = obs::scoped(|| {
         for q in &queries {
             let t = Instant::now();
             let _ = server.serve(q);
             latencies_us.push(t.elapsed().as_secs_f64() * 1e6);
         }
     });
+    let serve_delta = ServeStats::from(&serve_delta);
     let qps = queries.len() as f64 / t0.elapsed().as_secs_f64();
     let ecdf = bcc_num::stats::Ecdf::new(latencies_us);
 
@@ -653,12 +627,13 @@ fn time_serve(parallel_threads: usize) -> Timing {
     let repeated = servestudy::repeated_stream();
     let mut rep_server = Server::new(&servestudy::config());
     let t0 = Instant::now();
-    let ((), rep_delta) = bcc_serve::stats::scoped(|| {
+    let ((), rep_delta) = obs::scoped(|| {
         for k in 0..servestudy::REPEATED_QUERIES {
             let d = rep_server.serve(&repeated.query(k)).expect("feasible");
             debug_assert!(k == 0 || d.served_from == ServedFrom::Cache);
         }
     });
+    let rep_delta = ServeStats::from(&rep_delta);
     let repeated_qps = servestudy::REPEATED_QUERIES as f64 / t0.elapsed().as_secs_f64();
 
     // Chaos pass: the same workload under the canonical fault plan, with
@@ -684,11 +659,12 @@ fn time_serve(parallel_threads: usize) -> Timing {
         "injected-fault drains must be bit-identical across worker counts"
     );
     let mut chaos_server = Server::new(&chaos_config);
-    let ((), chaos_delta) = bcc_serve::stats::scoped(|| {
+    let ((), chaos_delta) = obs::scoped(|| {
         for q in &chaos_queries {
             let _ = chaos_server.serve(q);
         }
     });
+    let chaos_delta = ServeStats::from(&chaos_delta);
 
     let serial_ms = best_ms(REPS, || {
         drain_all(1);
@@ -717,7 +693,7 @@ fn time_serve(parallel_threads: usize) -> Timing {
                 "chaos_validated_rejects",
                 chaos_delta.validated_rejects as f64,
             ),
-            ("chaos_panics", GENUINE_PANICS.load(Relaxed) as f64),
+            ("chaos_panics", servestudy::genuine_panics() as f64),
         ],
     }
 }
@@ -790,7 +766,7 @@ fn check_field(baseline: &str, timing: &Timing, field: &str, measured: f64) -> R
 }
 
 fn main() {
-    install_panic_audit();
+    bcc_bench::servestudy::install_panic_audit();
     let mut out_path: Option<PathBuf> = None;
     let mut check_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);

@@ -32,33 +32,11 @@
 //! operating point). Writes `results/SERVE_loadgen.json` (schema 2).
 
 use bcc_bench::{results_dir, servestudy};
+use bcc_num::obs;
 use bcc_num::stats::Ecdf;
-use bcc_serve::{LoadSpec, QuantSpec, Server, StreamKind};
+use bcc_serve::{LoadSpec, QuantSpec, ServeStats, Server, StreamKind};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
-
-/// Panic-hook invocations whose payload is *not* the injected chaos
-/// marker — a genuine panic anywhere in the run. The report gates on
-/// this staying zero.
-static GENUINE_PANICS: AtomicU64 = AtomicU64::new(0);
-
-/// Counts genuine panics and silences the injected ones (their unwinds
-/// are caught and degraded by the engine; the default hook would bury
-/// the output in backtraces).
-fn install_panic_audit() {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("injected worker panic"));
-        if !injected {
-            GENUINE_PANICS.fetch_add(1, Relaxed);
-            previous(info);
-        }
-    }));
-}
 
 struct Args {
     queries: u64,
@@ -134,7 +112,7 @@ fn spec_for(args: &Args) -> LoadSpec {
 }
 
 fn main() {
-    install_panic_audit();
+    servestudy::install_panic_audit();
     let args = parse_args();
     let spec = spec_for(&args);
     let mut config = servestudy::config()
@@ -160,14 +138,14 @@ fn main() {
     let mut latencies_us = Vec::with_capacity(queries.len());
     let (wall, delta) = {
         let t0 = Instant::now();
-        let ((), delta) = bcc_serve::stats::scoped(|| {
+        let ((), delta) = obs::scoped(|| {
             for q in &queries {
                 let t = Instant::now();
                 let _ = server.serve(q);
                 latencies_us.push(t.elapsed().as_secs_f64() * 1e6);
             }
         });
-        (t0.elapsed().as_secs_f64(), delta)
+        (t0.elapsed().as_secs_f64(), ServeStats::from(&delta))
     };
     let qps = args.queries as f64 / wall;
     let ecdf = Ecdf::new(latencies_us);
@@ -217,7 +195,7 @@ fn main() {
     // The degradation contract, both directions: a healthy run never
     // degrades; an injected run degrades somewhere, rejects the
     // malformed queries, and contains every panic.
-    let panics = GENUINE_PANICS.load(Relaxed);
+    let panics = servestudy::genuine_panics();
     assert_eq!(panics, 0, "a genuine panic escaped the run");
     if args.faults {
         assert!(

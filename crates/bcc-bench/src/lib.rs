@@ -252,6 +252,7 @@ pub mod citystudy {
 pub mod servestudy {
     use bcc_num::faults::{FaultPlan, FaultSite};
     use bcc_serve::{LoadSpec, QuantSpec, ServeConfig, StreamKind};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     /// Master seed of the study's query streams.
     pub const SEED: u64 = 0x5E4E_0001;
@@ -339,6 +340,31 @@ pub mod servestudy {
     /// malformed query every [`INVALID_EVERY`] slots.
     pub fn chaos_stream() -> LoadSpec {
         mixed_stream().invalid_every(INVALID_EVERY)
+    }
+
+    /// Genuine panics: hook calls whose payload is not
+    /// [`bcc_serve::INJECTED_PANIC`]. The chaos gates require zero.
+    static GENUINE_PANICS: AtomicU64 = AtomicU64::new(0);
+
+    /// Installs a panic hook that counts genuine panics and silences
+    /// the injected ones, whose unwinds the serve engine catches.
+    pub fn install_panic_audit() {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<&str>()
+                .is_some_and(|m| *m == bcc_serve::INJECTED_PANIC);
+            if !injected {
+                GENUINE_PANICS.fetch_add(1, Relaxed);
+                previous(info);
+            }
+        }));
+    }
+
+    /// Genuine panics seen since [`install_panic_audit`].
+    pub fn genuine_panics() -> u64 {
+        GENUINE_PANICS.load(Relaxed)
     }
 }
 

@@ -4,7 +4,9 @@
 
 use bcc_bench::{fig3_symmetric_network, fig4_network, sweep_series, FIG4_POWERS_DB};
 use bcc_core::prelude::*;
+use bcc_lp::stats::LpStats;
 use bcc_num::interp::crossings;
+use bcc_num::obs::{self, Counter};
 
 #[test]
 fn fig3_sweep_a_shape() {
@@ -118,29 +120,28 @@ fn multipair_study_shapes() {
 /// The bench gate's solver-mix assertions (`kernel_hits`, `warm_hits`,
 /// zero-allocation hot loop) are reproducible **in-process** on
 /// miniature versions of the bench-report scenarios, without
-/// `--test-threads=1`: the thread-local counters (`bcc_lp::stats::scoped`,
-/// `kernel_hits_local`) only see this test's own solves even while the
-/// rest of the suite hammers the solver from sibling test threads.
+/// `--test-threads=1`: the thread-local `obs` counters only see this
+/// test's own solves even while the rest of the suite hammers the solver
+/// from sibling test threads.
 #[test]
 fn bench_gate_counters_observable_in_process() {
     // Miniature fig3 sweep: every protocol has a closed form now, so the
     // batched lane kernels must carry all 4 protocols × 201 points with
     // zero simplex solves.
-    let k0 = bcc_core::kernel::kernel_hits_local();
-    let (_, lp) = bcc_lp::stats::scoped(|| {
+    let (_, c) = obs::scoped(|| {
         Scenario::symmetric_gain_sweep_db(15.0, 0.0, (0..=200).map(|k| f64::from(k) * 0.15))
             .threads(1)
             .build()
             .sweep()
             .unwrap()
     });
-    let kernel = bcc_core::kernel::kernel_hits_local() - k0;
+    let (kernel, lp) = (c[Counter::KernelHits], LpStats::from(&c));
     assert_eq!(kernel, 4 * 201, "the kernel must serve every solve");
     assert_eq!(lp.solves, 0, "a floor-free inner sweep never touches LP");
 
     // Miniature floored crossover sweep: QoS floors force the simplex,
     // and repeated solves on one context must fire the warm-start path.
-    let (_, lp) = bcc_lp::stats::scoped(|| {
+    let (_, c) = obs::scoped(|| {
         Scenario::power_sweep_db(
             fig4_network(0.0),
             (0..=300).map(|k| -5.0 + f64::from(k) * 0.05),
@@ -151,6 +152,7 @@ fn bench_gate_counters_observable_in_process() {
         .sweep()
         .unwrap()
     });
+    let lp = LpStats::from(&c);
     assert!(lp.solves > 0, "floors force LP solves");
     assert!(
         lp.warm_hits > 0,

@@ -44,9 +44,10 @@
 //!
 //! # Counters
 //!
-//! [`stats`] mirrors [`bcc_lp::stats`]: relaxed process-wide atomics
-//! plus race-free thread-local twins, counting points solved through
-//! block kernels and how many of them ran in full-`LANE` chunks.
+//! Every block solve records on the calling thread's
+//! [`bcc_num::obs`] registry: points solved through block kernels,
+//! how many of them ran in full-`LANE` chunks, and the kernel hits.
+//! [`stats`] holds the per-counter views.
 
 mod driver;
 
@@ -73,50 +74,18 @@ pub const LANE: usize = 4;
 /// to stay cache-resident (13 lanes × 1024 × 8 B ≈ 104 KiB).
 pub const DEFAULT_BLOCK: usize = 1024;
 
-/// Batched-kernel hit counters (the [`bcc_lp::stats`] pattern: relaxed
-/// process-wide atomics plus race-free thread-local twins).
+/// Batched-kernel counters, as views of the [`bcc_num::obs`] registry.
 pub mod stats {
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use bcc_num::obs::{self, Counter};
 
-    static BATCHED_POINTS: AtomicU64 = AtomicU64::new(0);
-    static LANES_FILLED: AtomicU64 = AtomicU64::new(0);
-
-    thread_local! {
-        static BATCHED_POINTS_LOCAL: Cell<u64> = const { Cell::new(0) };
-        static LANES_FILLED_LOCAL: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Process-wide count of points solved through a block kernel.
-    pub fn batched_points() -> u64 {
-        BATCHED_POINTS.load(Relaxed)
-    }
-
-    /// Process-wide count of batched points that ran inside a full
-    /// [`LANE`](super::LANE)-wide chunk (the vectorised share; the
-    /// remainder went through the width-1 scalar tail).
-    pub fn lanes_filled() -> u64 {
-        LANES_FILLED.load(Relaxed)
-    }
-
-    /// Calling-thread twin of [`batched_points`] (race-free; see
-    /// [`crate::kernel::kernel_hits_local`] for the capture caveats).
+    /// This thread's block-kernel points: a view of [`obs`]'s [`Counter::BatchedPoints`].
     pub fn batched_points_local() -> u64 {
-        BATCHED_POINTS_LOCAL.with(Cell::get)
+        obs::local()[Counter::BatchedPoints]
     }
 
-    /// Calling-thread twin of [`lanes_filled`].
+    /// This thread's points in full lane chunks: a view of [`obs`]'s [`Counter::LanesFilled`].
     pub fn lanes_filled_local() -> u64 {
-        LANES_FILLED_LOCAL.with(Cell::get)
-    }
-
-    /// Records one block solve of `points` points, `filled` of which ran
-    /// in full-width chunks.
-    pub(super) fn record(points: u64, filled: u64) {
-        BATCHED_POINTS.fetch_add(points, Relaxed);
-        LANES_FILLED.fetch_add(filled, Relaxed);
-        BATCHED_POINTS_LOCAL.with(|c| c.set(c.get() + points));
-        LANES_FILLED_LOCAL.with(|c| c.set(c.get() + filled));
+        obs::local()[Counter::LanesFilled]
     }
 }
 
@@ -1134,8 +1103,10 @@ mod simd {
 /// Records the per-block bookkeeping: `n` kernel-served solves, with
 /// the full-chunk share on the batch counters.
 fn finish_block(n: usize) {
-    stats::record(n as u64, (n - n % LANE) as u64);
-    crate::kernel::record_kernel_hits(n as u64);
+    use bcc_num::obs::{add, Counter};
+    add(Counter::BatchedPoints, n as u64);
+    add(Counter::LanesFilled, (n - n % LANE) as u64);
+    add(Counter::KernelHits, n as u64);
 }
 
 /// Batched closed-form `max_sum_rate`: appends one solution per staged

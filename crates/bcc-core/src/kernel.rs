@@ -57,49 +57,11 @@ use crate::gaussian::{GaussianNetwork, SumRateSolution};
 use crate::optimizer::SchedulePoint;
 use crate::protocol::{Bound, Protocol};
 use bcc_lp::{Problem, Relation, Sense, Solution, Workspace};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use bcc_num::obs::{self, Counter};
 
-/// Process-wide count of solves served by the closed-form kernel (the
-/// companion of [`bcc_lp::stats`]'s solve counters; `bench-report` reads
-/// deltas of both to report the kernel-vs-simplex mix).
-static KERNEL_HITS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Calling-thread twin of [`KERNEL_HITS`] (see [`kernel_hits_local`]).
-    static KERNEL_HITS_LOCAL: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Total solves served by the closed-form kernel since process start.
-pub fn kernel_hits() -> u64 {
-    KERNEL_HITS.load(Relaxed)
-}
-
-/// Kernel solves performed **on the calling thread** since it started —
-/// the race-free companion of [`kernel_hits`] for in-process assertions.
-///
-/// The global counter is process-wide, so a delta taken around a workload
-/// in one `cargo test` thread also counts kernel hits from concurrently
-/// running tests. A delta of this thread-local counter counts only the
-/// calling thread's own solves; pin the workload to one worker
-/// (`Scenario::threads(1)` — the serial path runs inline on the caller)
-/// for complete capture. See [`bcc_lp::stats::scoped`] for the matching
-/// LP-side helper.
+/// The calling thread's closed-form kernel solves: a view of [`obs`]'s [`Counter::KernelHits`].
 pub fn kernel_hits_local() -> u64 {
-    KERNEL_HITS_LOCAL.with(std::cell::Cell::get)
-}
-
-/// Records one kernel-served solve on both the global and the
-/// calling-thread counter.
-fn record_kernel_hit() {
-    KERNEL_HITS.fetch_add(1, Relaxed);
-    KERNEL_HITS_LOCAL.with(|c| c.set(c.get() + 1));
-}
-
-/// Bulk form of [`record_kernel_hit`] for the block kernels: one update
-/// per block instead of one per point.
-pub(crate) fn record_kernel_hits(n: u64) {
-    KERNEL_HITS.fetch_add(n, Relaxed);
-    KERNEL_HITS_LOCAL.with(|c| c.set(c.get() + n));
+    obs::local()[Counter::KernelHits]
 }
 
 /// Closed-form `max_sum_rate` — covers **all four** protocols (DT and
@@ -115,7 +77,7 @@ pub fn max_sum_rate(net: &GaussianNetwork, protocol: Protocol) -> Option<SumRate
 /// for forward-compat with caps whose structure defeats a closed form).
 pub fn max_sum_rate_from_caps(caps: &LinkCaps, protocol: Protocol) -> Option<SumRateSolution> {
     let sol = crate::batch::sum_rate_one(caps, protocol);
-    record_kernel_hit();
+    obs::add(Counter::KernelHits, 1);
     Some(sol)
 }
 
@@ -135,7 +97,7 @@ pub fn max_min_rate(net: &GaussianNetwork, protocol: Protocol) -> Option<Schedul
 /// [`max_min_rate`] from precomputed [`LinkCaps`].
 pub fn max_min_rate_from_caps(caps: &LinkCaps, protocol: Protocol) -> Option<SchedulePoint> {
     let pt = crate::batch::max_min_one(caps, protocol)?;
-    record_kernel_hit();
+    obs::add(Counter::KernelHits, 1);
     Some(pt)
 }
 

@@ -1055,7 +1055,7 @@ mod tests {
 
     #[test]
     fn warm_path_actually_fires_on_repeats() {
-        let before = crate::stats::snapshot();
+        let before = crate::stats::local_snapshot();
         let mut ws = Workspace::new();
         for k in 0..50 {
             let cap = 1.0 + 0.02 * k as f64;
@@ -1067,7 +1067,7 @@ mod tests {
             // x = cap binds its own cap, y fills the joint cap: 2·cap + 1.5·cap.
             assert!((s.objective - 3.5 * cap).abs() < 1e-9);
         }
-        let d = crate::stats::snapshot().delta_since(&before);
+        let d = crate::stats::local_snapshot().delta_since(&before);
         assert!(d.warm_hits >= 40, "warm hits {} too low", d.warm_hits);
     }
 

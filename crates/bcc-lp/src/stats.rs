@@ -1,46 +1,31 @@
-//! Global, lock-free solver counters.
+//! Simplex solver counters, as a view of the [`bcc_num::obs`] registry.
 //!
 //! The batch drivers in this workspace fan LP solves across worker
 //! threads whose private [`Workspace`](crate::Workspace)s are created and
 //! dropped inside the parallel region, so per-workspace counters would be
-//! invisible to the caller. Instead the solver increments a small set of
-//! process-wide relaxed atomics — **once per solve**, not per pivot, so
-//! the cost is a few nanoseconds against a microsecond-scale solve — and
+//! invisible to the caller. Instead every solve records into the calling
+//! thread's [`obs`] counters — **once per solve**, not per pivot, so the
+//! cost is a few nanoseconds against a microsecond-scale solve — and
 //! diagnostics like `bench-report` read deltas around a workload:
 //!
 //! ```
 //! use bcc_lp::{Problem, Relation};
 //!
-//! let before = bcc_lp::stats::snapshot();
+//! let before = bcc_lp::stats::local_snapshot();
 //! let mut p = Problem::maximize(&[1.0]);
 //! p.subject_to(&[1.0], Relation::Le, 2.0);
 //! p.solve().unwrap();
-//! let delta = bcc_lp::stats::snapshot().delta_since(&before);
+//! let delta = bcc_lp::stats::local_snapshot().delta_since(&before);
 //! assert_eq!(delta.solves, 1);
 //! ```
 //!
-//! The counters are monotone over the process lifetime (no reset — a
-//! racy reset would corrupt concurrent deltas); consumers subtract
-//! snapshots. Relaxed ordering means a snapshot taken *while* solves are
-//! in flight on other threads may miss their in-progress increments;
-//! deltas around a completed workload on the calling thread are exact.
+//! The counters are per thread (see [`bcc_num::obs`] for the capture
+//! rules): a delta counts exactly the solves that ran on the calling
+//! thread, whatever other threads do meanwhile.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use bcc_num::obs::{self, Counter, Counters};
 
-static SOLVES: AtomicU64 = AtomicU64::new(0);
-static PIVOTS: AtomicU64 = AtomicU64::new(0);
-static WARM_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
-static WARM_HITS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Calling-thread twins of the global counters (see
-    /// [`local_snapshot`]): each solve increments both, so per-thread
-    /// deltas are immune to solves racing in from other threads.
-    static LOCAL: Cell<LpStats> = const { Cell::new(LpStats::zero()) };
-}
-
-/// A snapshot of the process-wide solver counters.
+/// The calling thread's LP counters: a view of four [`obs`] counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LpStats {
     /// Completed solves (successful or not), warm and cold.
@@ -55,16 +40,6 @@ pub struct LpStats {
 }
 
 impl LpStats {
-    /// The all-zero snapshot (`const` so it can seed a thread-local cell).
-    pub const fn zero() -> LpStats {
-        LpStats {
-            solves: 0,
-            pivots: 0,
-            warm_attempts: 0,
-            warm_hits: 0,
-        }
-    }
-
     /// Counter increments since `earlier` (wrapping, so stale snapshots
     /// cannot panic).
     pub fn delta_since(&self, earlier: &LpStats) -> LpStats {
@@ -77,73 +52,28 @@ impl LpStats {
     }
 }
 
-/// Reads the current counter values.
-pub fn snapshot() -> LpStats {
-    LpStats {
-        solves: SOLVES.load(Relaxed),
-        pivots: PIVOTS.load(Relaxed),
-        warm_attempts: WARM_ATTEMPTS.load(Relaxed),
-        warm_hits: WARM_HITS.load(Relaxed),
+impl From<&Counters> for LpStats {
+    fn from(c: &Counters) -> LpStats {
+        LpStats {
+            solves: c[Counter::LpSolves],
+            pivots: c[Counter::LpPivots],
+            warm_attempts: c[Counter::LpWarmAttempts],
+            warm_hits: c[Counter::LpWarmHits],
+        }
     }
 }
 
-/// Reads the calling thread's private counter values.
-///
-/// The global [`snapshot`] is process-wide, so a delta taken around a
-/// workload also counts solves performed concurrently by *other* threads
-/// — under `cargo test`'s default parallelism, assertions on global
-/// deltas race. This snapshot counts only solves performed **on the
-/// calling thread** since it started, making in-process assertions
-/// exact without `--test-threads=1`. Pin the measured workload to one
-/// worker (e.g. `Scenario::threads(1)` — the serial path of
-/// `bcc_num::par` runs inline on the caller) so every solve lands on
-/// this thread; solves fanned to spawned workers are counted in *their*
-/// thread-locals, not here.
+/// The calling thread's LP counters: a view of [`obs::local`].
 pub fn local_snapshot() -> LpStats {
-    LOCAL.with(Cell::get)
-}
-
-/// Runs `f` and returns its result together with the calling thread's
-/// counter delta across the call — the race-free scoped form of
-/// [`local_snapshot`] the bench gate's in-process tests are built on:
-///
-/// ```
-/// use bcc_lp::{Problem, Relation};
-///
-/// let (_, delta) = bcc_lp::stats::scoped(|| {
-///     let mut p = Problem::maximize(&[1.0]);
-///     p.subject_to(&[1.0], Relation::Le, 2.0);
-///     p.solve().unwrap()
-/// });
-/// assert_eq!(delta.solves, 1);
-/// ```
-pub fn scoped<R>(f: impl FnOnce() -> R) -> (R, LpStats) {
-    let before = local_snapshot();
-    let result = f();
-    (result, local_snapshot().delta_since(&before))
+    LpStats::from(&obs::local())
 }
 
 /// Records one completed solve (called once per solve by the simplex).
 pub(crate) fn record_solve(pivots: usize, warm_attempted: bool, warm_hit: bool) {
-    SOLVES.fetch_add(1, Relaxed);
-    if pivots > 0 {
-        PIVOTS.fetch_add(pivots as u64, Relaxed);
-    }
-    if warm_attempted {
-        WARM_ATTEMPTS.fetch_add(1, Relaxed);
-    }
-    if warm_hit {
-        WARM_HITS.fetch_add(1, Relaxed);
-    }
-    LOCAL.with(|c| {
-        let s = c.get();
-        c.set(LpStats {
-            solves: s.solves.wrapping_add(1),
-            pivots: s.pivots.wrapping_add(pivots as u64),
-            warm_attempts: s.warm_attempts.wrapping_add(u64::from(warm_attempted)),
-            warm_hits: s.warm_hits.wrapping_add(u64::from(warm_hit)),
-        });
-    });
+    obs::add(Counter::LpSolves, 1);
+    obs::add(Counter::LpPivots, pivots as u64);
+    obs::add(Counter::LpWarmAttempts, u64::from(warm_attempted));
+    obs::add(Counter::LpWarmHits, u64::from(warm_hit));
 }
 
 #[cfg(test)]
@@ -176,13 +106,13 @@ mod tests {
     #[test]
     fn counters_move_on_solves() {
         use crate::{Problem, Relation};
-        let before = snapshot();
-        let mut p = Problem::maximize(&[1.0, 1.0]);
-        p.subject_to(&[1.0, 1.0], Relation::Le, 1.0);
-        p.solve().unwrap();
-        let d = snapshot().delta_since(&before);
-        assert!(d.solves >= 1);
-        assert!(d.pivots >= 1);
+        let ((), d) = obs::scoped(|| {
+            let mut p = Problem::maximize(&[1.0, 1.0]);
+            p.subject_to(&[1.0, 1.0], Relation::Le, 1.0);
+            p.solve().unwrap();
+        });
+        assert_eq!(d[Counter::LpSolves], 1);
+        assert!(d[Counter::LpPivots] >= 1);
     }
 
     fn one_solve() {
@@ -197,19 +127,21 @@ mod tests {
         // A noisy peer thread hammers the solver while the scoped
         // measurement runs; the thread-local delta must still count
         // exactly the calling thread's own solves.
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 while !stop.load(Relaxed) {
                     one_solve();
                 }
             });
-            let ((), d) = scoped(|| {
+            let ((), d) = obs::scoped(|| {
                 for _ in 0..7 {
                     one_solve();
                 }
             });
             stop.store(true, Relaxed);
+            let d = LpStats::from(&d);
             assert_eq!(d.solves, 7, "scoped counts exactly this thread's solves");
             assert!(d.pivots >= 7);
             assert_eq!(d.warm_attempts, 0, "plain Problem::solve never warm-starts");
@@ -218,13 +150,14 @@ mod tests {
 
     #[test]
     fn local_snapshot_ignores_other_threads() {
-        let before = local_snapshot();
-        std::thread::scope(|scope| {
-            scope.spawn(one_solve).join().unwrap();
+        let ((), d) = obs::scoped(|| {
+            std::thread::scope(|scope| {
+                scope.spawn(one_solve).join().unwrap();
+            });
         });
         assert_eq!(
-            local_snapshot().delta_since(&before),
-            LpStats::zero(),
+            d,
+            Counters::default(),
             "peer-thread solves must not leak into this thread's counters"
         );
     }

@@ -24,6 +24,8 @@
 //! * [`faults`] — deterministic, seed-driven fault injection
 //!   ([`faults::FaultPlan`]): the chaos schedules behind the robustness
 //!   suites, bit-reproducible across threads, batch sizes and replays.
+//! * [`obs`] — the one thread-local counter registry every layer records
+//!   its diagnostics into ([`obs::Counter`], [`obs::scoped`]).
 //! * [`linalg`] — a minimal dense matrix type with LU solve, used by tests
 //!   and by the Blahut–Arimoto helper in `bcc-info`.
 //!
@@ -49,6 +51,7 @@ pub mod db;
 pub mod faults;
 pub mod interp;
 pub mod linalg;
+pub mod obs;
 pub mod optim;
 pub mod par;
 pub mod quadrature;

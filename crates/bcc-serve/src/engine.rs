@@ -11,10 +11,11 @@ use crate::cache::{DecisionCache, Outcome};
 use crate::quant::QuantSpec;
 use crate::query::{Decision, DecisionCore, DegradeReason, Query, ServeError, ServedFrom};
 use crate::stats::ServeStats;
-use bcc_core::kernel::{kernel_hits_local, SolveRequest};
+use bcc_core::kernel::SolveRequest;
 use bcc_core::protocol::Protocol;
 use bcc_core::{CoreError, Objective, SolveCtx};
 use bcc_num::faults::{self, FaultPlan, FaultScope, FaultSite};
+use bcc_num::obs::{self, Counter, Counters};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Tunables for an [`Engine`] or [`Server`](crate::Server).
@@ -97,6 +98,11 @@ impl ServeConfig {
     }
 }
 
+/// The payload of the deliberate worker panic that
+/// [`FaultSite::WorkerPanic`] injects. Panic hooks and audits compare
+/// payloads against it to tell injected panics from genuine ones.
+pub const INJECTED_PANIC: &str = "injected worker panic (deterministic chaos)";
+
 /// What one fresh solve cost, alongside its outcome.
 pub(crate) struct SolvedMiss {
     pub outcome: Result<Outcome, ServeError>,
@@ -106,57 +112,56 @@ pub(crate) struct SolvedMiss {
     pub pivots: u64,
 }
 
+impl SolvedMiss {
+    /// `outcome` with the solver counters of `cost`, an [`obs`] delta.
+    fn counted(outcome: Result<Outcome, ServeError>, cost: &Counters) -> SolvedMiss {
+        SolvedMiss {
+            outcome,
+            kernel_solves: cost[Counter::KernelHits],
+            simplex_solves: cost[Counter::LpSolves],
+            warm_hits: cost[Counter::LpWarmHits],
+            pivots: cost[Counter::LpPivots],
+        }
+    }
+}
+
 /// Solves one already-snapped query on `ctx`, counting what the solve
-/// cost (kernel vs simplex, warm hits, pivots) via the thread-local
-/// counters. Shared by the serial engine and the batch workers.
+/// cost (kernel vs simplex, warm hits, pivots) on the [`obs`] registry.
+/// Shared by the serial engine and the batch workers.
 pub(crate) fn solve_counted(ctx: &mut SolveCtx, snapped: &Query) -> SolvedMiss {
-    let kernel_before = kernel_hits_local();
-    let lp_before = bcc_lp::stats::local_snapshot();
     let net = snapped.network();
-    let outcome = match ctx.solve_best(
-        &net,
-        &Protocol::ALL,
-        Objective::SumRate,
-        snapped.bound,
-        snapped.floor,
-    ) {
+    let (best, cost) = obs::scoped(|| {
+        ctx.solve_best(
+            &net,
+            &Protocol::ALL,
+            Objective::SumRate,
+            snapped.bound,
+            snapped.floor,
+        )
+    });
+    let outcome = match best {
         Ok(Some(out)) => Ok(Outcome::Decided(DecisionCore::from_solution(
             &out.sum_rate_solution(),
         ))),
         Ok(None) => Ok(Outcome::Infeasible),
         Err(e) => Err(ServeError::Solver(e)),
     };
-    let lp = bcc_lp::stats::local_snapshot().delta_since(&lp_before);
-    SolvedMiss {
-        outcome,
-        kernel_solves: kernel_hits_local().wrapping_sub(kernel_before),
-        simplex_solves: lp.solves,
-        warm_hits: lp.warm_hits,
-        pivots: lp.pivots,
-    }
+    SolvedMiss::counted(outcome, &cost)
 }
 
 /// A [`SolvedMiss`] plus degradation provenance: `degraded` is `Some`
 /// when the outcome came from the conservative fallback rather than the
 /// full protocol selection. Degraded outcomes are never cached.
 pub(crate) struct GuardedMiss {
-    pub outcome: Result<Outcome, ServeError>,
+    pub miss: SolvedMiss,
     pub degraded: Option<DegradeReason>,
-    pub kernel_solves: u64,
-    pub simplex_solves: u64,
-    pub warm_hits: u64,
-    pub pivots: u64,
 }
 
 impl GuardedMiss {
-    pub(crate) fn clean(solved: SolvedMiss) -> GuardedMiss {
+    pub(crate) fn clean(miss: SolvedMiss) -> GuardedMiss {
         GuardedMiss {
-            outcome: solved.outcome,
+            miss,
             degraded: None,
-            kernel_solves: solved.kernel_solves,
-            simplex_solves: solved.simplex_solves,
-            warm_hits: solved.warm_hits,
-            pivots: solved.pivots,
         }
     }
 }
@@ -179,6 +184,8 @@ impl GuardedMiss {
 ///    full selection maximises over, so it is provably ≤ the true
 ///    optimum); if DT cannot meet the query's QoS floor the honest
 ///    answer is [`ServeError::DegradedUnavailable`].
+///
+/// The returned cost counts every attempt and the fallback.
 pub(crate) fn solve_guarded(
     ctx: &mut SolveCtx,
     snapped: &Query,
@@ -189,10 +196,23 @@ pub(crate) fn solve_guarded(
     if plan.is_empty() && budget.is_none() {
         return GuardedMiss::clean(solve_counted(ctx, snapped));
     }
-    let mut kernel_solves = 0u64;
-    let mut simplex_solves = 0u64;
-    let mut warm_hits = 0u64;
-    let mut pivots = 0u64;
+    let ((outcome, degraded), cost) =
+        obs::scoped(|| attempt_or_degrade(ctx, snapped, token, plan, budget));
+    GuardedMiss {
+        miss: SolvedMiss::counted(outcome, &cost),
+        degraded,
+    }
+}
+
+/// The body of [`solve_guarded`]: the outcome, and the reason when the
+/// fallback produced it.
+fn attempt_or_degrade(
+    ctx: &mut SolveCtx,
+    snapped: &Query,
+    token: u64,
+    plan: &FaultPlan,
+    budget: Option<u64>,
+) -> (Result<Outcome, ServeError>, Option<DegradeReason>) {
     let mut fall = None;
     {
         let _scope = FaultScope::enter(plan, token);
@@ -201,16 +221,12 @@ pub(crate) fn solve_guarded(
                 // The injected panic fires before the solve touches the
                 // context, so an unwound attempt leaves `ctx` coherent.
                 if faults::should_inject(FaultSite::WorkerPanic) {
-                    panic!("injected worker panic (deterministic chaos)");
+                    std::panic::panic_any(INJECTED_PANIC);
                 }
                 solve_counted(ctx, snapped)
             }));
             match attempt {
                 Ok(solved) => {
-                    kernel_solves += solved.kernel_solves;
-                    simplex_solves += solved.simplex_solves;
-                    warm_hits += solved.warm_hits;
-                    pivots += solved.pivots;
                     match solved.outcome {
                         Ok(outcome) => {
                             if budget.is_some_and(|b| solved.simplex_solves > b) {
@@ -220,14 +236,7 @@ pub(crate) fn solve_guarded(
                                 fall = Some(DegradeReason::Budget);
                                 break;
                             }
-                            return GuardedMiss {
-                                outcome: Ok(outcome),
-                                degraded: None,
-                                kernel_solves,
-                                simplex_solves,
-                                warm_hits,
-                                pivots,
-                            };
+                            return (Ok(outcome), None);
                         }
                         Err(ServeError::Solver(e)) if e.is_resource_limit() => {
                             fall = Some(DegradeReason::Budget);
@@ -238,14 +247,7 @@ pub(crate) fn solve_guarded(
                         Err(e) => {
                             // A genuine solver failure is a bug report,
                             // not a degradation trigger.
-                            return GuardedMiss {
-                                outcome: Err(e),
-                                degraded: None,
-                                kernel_solves,
-                                simplex_solves,
-                                warm_hits,
-                                pivots,
-                            };
+                            return (Err(e), None);
                         }
                     }
                 }
@@ -256,8 +258,6 @@ pub(crate) fn solve_guarded(
         }
     }
     let reason = fall.expect("both attempts failed with a recorded reason");
-    let kernel_before = kernel_hits_local();
-    let lp_before = bcc_lp::stats::local_snapshot();
     let net = snapped.network();
     let req = SolveRequest::sum_rate(Protocol::DirectTransmission)
         .with_bound(snapped.bound)
@@ -271,15 +271,7 @@ pub(crate) fn solve_guarded(
         }
         Err(e) => Err(ServeError::Solver(e)),
     };
-    let lp = bcc_lp::stats::local_snapshot().delta_since(&lp_before);
-    GuardedMiss {
-        outcome,
-        degraded: Some(reason),
-        kernel_solves: kernel_solves + kernel_hits_local().wrapping_sub(kernel_before),
-        simplex_solves: simplex_solves + lp.solves,
-        warm_hits: warm_hits + lp.warm_hits,
-        pivots: pivots + lp.pivots,
-    }
+    (outcome, Some(reason))
 }
 
 /// The per-key cache fates under `plan`: `(evict_fated, corrupt_fated)`.
@@ -387,7 +379,7 @@ impl Engine {
     pub fn serve(&mut self, query: &Query) -> Result<Decision, ServeError> {
         let mut delta = ServeStats {
             queries: 1,
-            ..ServeStats::zero()
+            ..ServeStats::default()
         };
         if let Err(e) = query.validate() {
             delta.validated_rejects = 1;
@@ -413,16 +405,16 @@ impl Engine {
             None => {
                 delta.cache_misses = 1;
                 let evictions_before = self.cache.evictions();
-                let solved = solve_guarded(
+                let guarded = solve_guarded(
                     &mut self.ctx,
                     &snapped,
                     token,
                     &self.faults,
                     self.solve_budget,
                 );
-                delta.kernel_solves = solved.kernel_solves;
-                delta.simplex_solves = solved.simplex_solves;
-                let result = match (solved.degraded, solved.outcome) {
+                delta.kernel_solves = guarded.miss.kernel_solves;
+                delta.simplex_solves = guarded.miss.simplex_solves;
+                let result = match (guarded.degraded, guarded.miss.outcome) {
                     (Some(reason), Ok(Outcome::Decided(core))) => {
                         delta.degraded = 1;
                         Ok(core.tagged(ServedFrom::Degraded { reason }))
@@ -522,11 +514,12 @@ mod tests {
     #[test]
     fn serve_moves_the_stats_counters() {
         let mut engine = Engine::new(&ServeConfig::default());
-        let ((), delta) = crate::stats::scoped(|| {
+        let ((), delta) = obs::scoped(|| {
             engine.serve(&q(0.3)).unwrap();
             engine.serve(&q(0.3)).unwrap();
             engine.serve(&q(0.7)).unwrap();
         });
+        let delta = ServeStats::from(&delta);
         assert_eq!(delta.queries, 3);
         assert_eq!(delta.cache_hits, 1);
         assert_eq!(delta.cache_misses, 2);
@@ -547,7 +540,7 @@ mod tests {
                 let injected = info
                     .payload()
                     .downcast_ref::<&str>()
-                    .is_some_and(|m| m.contains("injected worker panic"));
+                    .is_some_and(|m| *m == INJECTED_PANIC);
                 if !injected {
                     previous(info);
                 }
@@ -559,7 +552,8 @@ mod tests {
     fn invalid_queries_are_refused_before_the_solver() {
         let mut engine = Engine::new(&ServeConfig::default());
         let bad = q(0.2).with_floor(f64::NAN, 0.1);
-        let (result, delta) = crate::stats::scoped(|| engine.serve(&bad));
+        let (result, delta) = obs::scoped(|| engine.serve(&bad));
+        let delta = ServeStats::from(&delta);
         assert!(matches!(result, Err(ServeError::InvalidQuery { .. })));
         assert_eq!(delta.validated_rejects, 1);
         assert_eq!(delta.cache_misses, 0, "no solve was attempted");
@@ -590,7 +584,8 @@ mod tests {
         let mut oracle = Engine::new(&ServeConfig::default());
         // A modest floor forces the LP path, whose solve count exceeds 0.
         let floored = q(0.5).with_floor(0.05, 0.05);
-        let (d, delta) = crate::stats::scoped(|| engine.serve(&floored).unwrap());
+        let (d, delta) = obs::scoped(|| engine.serve(&floored).unwrap());
+        let delta = ServeStats::from(&delta);
         assert_eq!(
             d.served_from,
             ServedFrom::Degraded {
@@ -612,7 +607,8 @@ mod tests {
         assert!(d.sum_rate <= full.sum_rate + 1e-12);
         // The next serve retries (still a miss) instead of hitting a
         // cached degraded answer.
-        let (_, delta2) = crate::stats::scoped(|| engine.serve(&floored).unwrap());
+        let (_, delta2) = obs::scoped(|| engine.serve(&floored).unwrap());
+        let delta2 = ServeStats::from(&delta2);
         assert_eq!(delta2.cache_misses, 1);
         // Floor-free queries stay on the closed-form path and do not
         // degrade even under a zero budget.
@@ -639,7 +635,8 @@ mod tests {
         }
         let (cand, _full) = probe.expect("some floor separates DT from the best relay protocol");
         let mut engine = Engine::new(&ServeConfig::default().solve_budget(0));
-        let (result, delta) = crate::stats::scoped(|| engine.serve(&cand));
+        let (result, delta) = obs::scoped(|| engine.serve(&cand));
+        let delta = ServeStats::from(&delta);
         assert!(matches!(
             result,
             Err(ServeError::DegradedUnavailable {
@@ -656,13 +653,14 @@ mod tests {
         let mut engine = Engine::new(&ServeConfig::default().faults(plan));
         let mut clean = Engine::new(&ServeConfig::default());
         let want = clean.serve(&q(0.3)).unwrap();
-        let (_, delta) = crate::stats::scoped(|| {
+        let (_, delta) = obs::scoped(|| {
             for _ in 0..3 {
                 let d = engine.serve(&q(0.3)).unwrap();
                 assert_eq!(d.sum_rate.to_bits(), want.sum_rate.to_bits());
                 assert_eq!(d.served_from, ServedFrom::Kernel, "never from cache");
             }
         });
+        let delta = ServeStats::from(&delta);
         assert_eq!(delta.cache_hits, 0);
         assert_eq!(delta.cache_misses, 3);
         assert_eq!(engine.cache().len(), 0, "fated keys are never admitted");

@@ -23,10 +23,9 @@
 //!   within-batch miss deduplication and [`Rejected`] pushback when the
 //!   queue is full. Drained decision streams are bit-identical at any
 //!   worker count.
-//! * **Serve statistics** ([`stats`]): relaxed-atomic process counters
-//!   (queries, hits, misses, evictions, rejects, kernel vs simplex
-//!   solves) with exact thread-local deltas, in the style of
-//!   [`bcc_lp::stats`].
+//! * **Serve statistics** ([`stats`]): a view of the thread-local
+//!   [`bcc_num::obs`] registry (queries, hits, misses, evictions,
+//!   rejects, kernel vs simplex solves), like [`bcc_lp::stats`].
 //! * **Deterministic load generation** ([`LoadSpec`]): reproducible
 //!   repeated / hot-set / fresh query streams for closed-loop benches
 //!   and replay tests.
@@ -74,7 +73,7 @@ pub mod server;
 pub mod stats;
 
 pub use cache::{DecisionCache, Outcome};
-pub use engine::{cold_solve, Engine, ServeConfig};
+pub use engine::{cold_solve, Engine, ServeConfig, INJECTED_PANIC};
 pub use loadgen::{LoadSpec, StreamKind};
 pub use quant::{QuantKey, QuantSpec};
 pub use query::{

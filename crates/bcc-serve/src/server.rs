@@ -31,6 +31,7 @@ use bcc_core::batch::{self, DEFAULT_BLOCK};
 use bcc_core::protocol::Protocol;
 use bcc_core::{SolveCtx, SolveOutcome, SolveRequest};
 use bcc_num::faults::FaultPlan;
+use bcc_num::obs::{self, Counter};
 use bcc_num::par::par_map_indexed_with;
 use std::collections::HashMap;
 
@@ -142,17 +143,11 @@ impl Server {
                 {
                     self.queue.remove(pos);
                     self.queue.push(query);
-                    crate::stats::record(&ServeStats {
-                        shed: 1,
-                        ..ServeStats::zero()
-                    });
+                    obs::add(Counter::ServeShed, 1);
                     return Ok(());
                 }
             }
-            crate::stats::record(&ServeStats {
-                rejects: 1,
-                ..ServeStats::zero()
-            });
+            obs::add(Counter::ServeRejects, 1);
             return Err(Rejected(query));
         }
         self.queue.push(query);
@@ -164,7 +159,8 @@ impl Server {
     /// Misses are deduplicated by quantized key and fanned across
     /// workers; see the module docs for the determinism contract. The
     /// batch's cost is recorded in [`last_batch`](Server::last_batch)
-    /// and the process-wide [`stats`](crate::stats).
+    /// and, on the calling thread, in the [`stats`](crate::stats)
+    /// counters.
     pub fn drain(&mut self) -> Vec<Result<Decision, ServeError>> {
         let batch: Vec<Query> = std::mem::take(&mut self.queue);
         if batch.is_empty() {
@@ -256,14 +252,15 @@ impl Server {
             validated_rejects,
             ..BatchStats::default()
         };
-        for ((key, miss), &(evict_fated, corrupt_fated)) in
+        for ((key, guarded), &(evict_fated, corrupt_fated)) in
             miss_keys.iter().zip(&solved).zip(&miss_fates)
         {
+            let miss = &guarded.miss;
             stats.kernel_solves += miss.kernel_solves;
             stats.simplex_solves += miss.simplex_solves;
             stats.warm_hits += miss.warm_hits;
             stats.pivots += miss.pivots;
-            if miss.degraded.is_some() || evict_fated {
+            if guarded.degraded.is_some() || evict_fated {
                 continue;
             }
             if let Ok(outcome) = miss.outcome {
@@ -288,8 +285,8 @@ impl Server {
                         (Ok(outcome), ServedFrom::Cache)
                     }
                     Plan::Solve { miss_idx, first } => {
-                        let miss = &solved[miss_idx];
-                        let from = if let Some(reason) = miss.degraded {
+                        let guarded = &solved[miss_idx];
+                        let from = if let Some(reason) = guarded.degraded {
                             stats.degraded += 1;
                             ServedFrom::Degraded { reason }
                         } else if first {
@@ -298,7 +295,7 @@ impl Server {
                             stats.cache_hits += 1;
                             ServedFrom::Cache
                         };
-                        (miss.outcome.clone(), from)
+                        (guarded.miss.outcome.clone(), from)
                     }
                     Plan::Invalid(e) => (Err(e), ServedFrom::Kernel),
                 };
@@ -323,12 +320,11 @@ impl Server {
                 .cache()
                 .evictions()
                 .wrapping_sub(evictions_before),
-            rejects: 0,
             kernel_solves: stats.kernel_solves,
             simplex_solves: stats.simplex_solves,
             degraded: stats.degraded,
-            shed: 0,
             validated_rejects: stats.validated_rejects,
+            ..ServeStats::default()
         });
         responses
     }
@@ -518,18 +514,29 @@ mod tests {
 
     #[test]
     fn batch_stats_expose_kernel_solves_through_the_snapshot() {
-        let mut server = Server::new(&ServeConfig::default().threads(1));
-        for i in 0..6 {
-            server.submit(q(0.3 + 0.25 * f64::from(i))).unwrap();
+        // A drain records its whole batch on the draining thread, even
+        // when (at 4 threads) the floored misses solve on workers.
+        for threads in [1, 4] {
+            let mut server = Server::new(&ServeConfig::default().threads(threads));
+            for i in 0..6 {
+                let query = q(0.3 + 0.25 * f64::from(i));
+                let floored = query.with_floor(0.05, 0.05);
+                server
+                    .submit(if i % 2 == 1 { floored } else { query })
+                    .unwrap();
+            }
+            let (_, delta) = obs::scoped(|| server.drain());
+            let delta = ServeStats::from(&delta);
+            assert_eq!(delta.queries, 6, "threads = {threads}");
+            assert_eq!(delta.cache_misses, 6);
+            assert!(
+                delta.kernel_solves > 0,
+                "inner/no-floor misses hit the kernel"
+            );
+            assert!(delta.simplex_solves > 0, "floors force LP solves");
+            assert_eq!(server.last_batch().kernel_solves, delta.kernel_solves);
+            assert_eq!(server.last_batch().simplex_solves, delta.simplex_solves);
         }
-        let (_, delta) = crate::stats::scoped(|| server.drain());
-        assert_eq!(delta.queries, 6);
-        assert_eq!(delta.cache_misses, 6);
-        assert!(
-            delta.kernel_solves > 0,
-            "inner/no-floor misses hit the kernel"
-        );
-        assert_eq!(server.last_batch().kernel_solves, delta.kernel_solves);
     }
 
     #[test]
@@ -562,16 +569,18 @@ mod tests {
         server.submit(q(0.2)).unwrap();
         // A high-priority submission displaces the newest normal one.
         let high = q(0.9).with_priority(Priority::High);
-        let ((), delta) = crate::stats::scoped(|| server.submit(high).unwrap());
+        let ((), delta) = obs::scoped(|| server.submit(high).unwrap());
+        let delta = ServeStats::from(&delta);
         assert_eq!(delta.shed, 1);
         assert_eq!(delta.rejects, 0);
         assert_eq!(server.queued(), 2, "queue stays at capacity");
         // A second high-priority submission sheds the remaining normal.
         server.submit(q(0.8).with_priority(Priority::High)).unwrap();
         // With only high-priority queries queued, even High is rejected.
-        let ((), delta) = crate::stats::scoped(|| {
+        let ((), delta) = obs::scoped(|| {
             assert!(server.submit(q(0.7).with_priority(Priority::High)).is_err());
         });
+        let delta = ServeStats::from(&delta);
         assert_eq!(delta.rejects, 1);
         assert_eq!(delta.shed, 0);
         // The drain answers the admitted high-priority queries.
@@ -592,7 +601,8 @@ mod tests {
         server.submit(q(0.2)).unwrap();
         server.submit(q(0.3).with_floor(f64::NAN, 0.1)).unwrap();
         server.submit(q(0.4)).unwrap();
-        let (answers, delta) = crate::stats::scoped(|| server.drain());
+        let (answers, delta) = obs::scoped(|| server.drain());
+        let delta = ServeStats::from(&delta);
         assert_eq!(answers.len(), 3);
         assert!(answers[0].is_ok());
         assert!(matches!(answers[1], Err(ServeError::InvalidQuery { .. })));

@@ -1,55 +1,36 @@
-//! Global, lock-free serving counters, in the style of
-//! [`bcc_lp::stats`].
+//! Serving counters, as a view of the [`bcc_num::obs`] registry.
 //!
 //! The server drains batches across worker threads whose private
 //! [`SolveCtx`](bcc_core::SolveCtx)s live only inside the parallel
 //! region, so per-context counters cannot tell the operator how the
-//! *service* is doing. Instead every serve records its outcome into a
-//! small set of process-wide relaxed atomics plus calling-thread
-//! twins, and diagnostics (the load generator, `bench-report`, the CI
-//! gate) read deltas around a workload:
+//! *service* is doing. Instead every serve records its outcome into the
+//! calling thread's [`obs`] counters, and diagnostics (the load
+//! generator, `bench-report`, the CI gate) read deltas around a
+//! workload:
 //!
 //! ```
 //! use bcc_channel::{ChannelState, PowerSplit};
-//! use bcc_serve::{Engine, Query, ServeConfig};
+//! use bcc_num::obs;
+//! use bcc_serve::{Engine, Query, ServeConfig, ServeStats};
 //!
 //! let mut engine = Engine::new(&ServeConfig::default());
 //! let q = Query::new(ChannelState::new(0.2, 1.0, 3.16), PowerSplit::symmetric(10.0));
-//! let (_, delta) = bcc_serve::stats::scoped(|| {
+//! let (_, delta) = obs::scoped(|| {
 //!     engine.serve(&q).unwrap();
 //!     engine.serve(&q).unwrap()
 //! });
+//! let delta = ServeStats::from(&delta);
 //! assert_eq!(delta.queries, 2);
 //! assert_eq!(delta.cache_hits, 1);
 //! ```
 //!
-//! The counters are monotone over the process lifetime (no reset);
-//! consumers subtract snapshots via [`ServeStats::delta_since`]. As with
-//! the LP counters, global deltas race against concurrent serves on
-//! other threads; thread-local deltas around a completed workload on the
-//! calling thread are exact. Batch drains record their whole batch on
-//! the *draining* thread, so [`scoped`] around a drain is exact even
-//! though the solves themselves ran on workers.
+//! The counters are per thread (see [`bcc_num::obs`]). Batch drains
+//! record their whole batch on the *draining* thread, so a delta around
+//! a drain is exact even though the solves themselves ran on workers.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use bcc_num::obs::{self, Counter, Counters};
 
-static QUERIES: AtomicU64 = AtomicU64::new(0);
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static REJECTS: AtomicU64 = AtomicU64::new(0);
-static KERNEL_SOLVES: AtomicU64 = AtomicU64::new(0);
-static SIMPLEX_SOLVES: AtomicU64 = AtomicU64::new(0);
-static DEGRADED: AtomicU64 = AtomicU64::new(0);
-static SHED: AtomicU64 = AtomicU64::new(0);
-static VALIDATED_REJECTS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static LOCAL: Cell<ServeStats> = const { Cell::new(ServeStats::zero()) };
-}
-
-/// A snapshot of the process-wide serving counters.
+/// The calling thread's serving counters: a view of ten [`obs`] counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Queries answered (hit or miss; rejected queries are not counted).
@@ -82,22 +63,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// The all-zero snapshot (`const` so it can seed a thread-local cell).
-    pub const fn zero() -> ServeStats {
-        ServeStats {
-            queries: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            evictions: 0,
-            rejects: 0,
-            kernel_solves: 0,
-            simplex_solves: 0,
-            degraded: 0,
-            shed: 0,
-            validated_rejects: 0,
-        }
-    }
-
     /// Counter increments since `earlier` (wrapping, so stale snapshots
     /// cannot panic).
     pub fn delta_since(&self, earlier: &ServeStats) -> ServeStats {
@@ -128,71 +93,41 @@ impl ServeStats {
     }
 }
 
-/// Reads the current process-wide counter values.
-pub fn snapshot() -> ServeStats {
-    ServeStats {
-        queries: QUERIES.load(Relaxed),
-        cache_hits: CACHE_HITS.load(Relaxed),
-        cache_misses: CACHE_MISSES.load(Relaxed),
-        evictions: EVICTIONS.load(Relaxed),
-        rejects: REJECTS.load(Relaxed),
-        kernel_solves: KERNEL_SOLVES.load(Relaxed),
-        simplex_solves: SIMPLEX_SOLVES.load(Relaxed),
-        degraded: DEGRADED.load(Relaxed),
-        shed: SHED.load(Relaxed),
-        validated_rejects: VALIDATED_REJECTS.load(Relaxed),
-    }
-}
-
-/// Reads the calling thread's private counter values (exact for
-/// workloads served on this thread; see [`bcc_lp::stats::local_snapshot`]
-/// for the full rationale).
-pub fn local_snapshot() -> ServeStats {
-    LOCAL.with(Cell::get)
-}
-
-/// Runs `f` and returns its result together with the calling thread's
-/// counter delta across the call — race-free under `cargo test`'s
-/// default parallelism because peer threads increment their own locals.
-pub fn scoped<R>(f: impl FnOnce() -> R) -> (R, ServeStats) {
-    let before = local_snapshot();
-    let result = f();
-    (result, local_snapshot().delta_since(&before))
-}
-
-/// Adds `delta` to the globals and the calling thread's locals. Called
-/// once per serve or per drained batch, never per solve.
-pub(crate) fn record(delta: &ServeStats) {
-    fn bump(counter: &AtomicU64, by: u64) {
-        if by > 0 {
-            counter.fetch_add(by, Relaxed);
+impl From<&Counters> for ServeStats {
+    fn from(c: &Counters) -> ServeStats {
+        ServeStats {
+            queries: c[Counter::ServeQueries],
+            cache_hits: c[Counter::ServeCacheHits],
+            cache_misses: c[Counter::ServeCacheMisses],
+            evictions: c[Counter::ServeEvictions],
+            rejects: c[Counter::ServeRejects],
+            kernel_solves: c[Counter::ServeKernelSolves],
+            simplex_solves: c[Counter::ServeSimplexSolves],
+            degraded: c[Counter::ServeDegraded],
+            shed: c[Counter::ServeShed],
+            validated_rejects: c[Counter::ServeValidatedRejects],
         }
     }
-    bump(&QUERIES, delta.queries);
-    bump(&CACHE_HITS, delta.cache_hits);
-    bump(&CACHE_MISSES, delta.cache_misses);
-    bump(&EVICTIONS, delta.evictions);
-    bump(&REJECTS, delta.rejects);
-    bump(&KERNEL_SOLVES, delta.kernel_solves);
-    bump(&SIMPLEX_SOLVES, delta.simplex_solves);
-    bump(&DEGRADED, delta.degraded);
-    bump(&SHED, delta.shed);
-    bump(&VALIDATED_REJECTS, delta.validated_rejects);
-    LOCAL.with(|c| {
-        let s = c.get();
-        c.set(ServeStats {
-            queries: s.queries.wrapping_add(delta.queries),
-            cache_hits: s.cache_hits.wrapping_add(delta.cache_hits),
-            cache_misses: s.cache_misses.wrapping_add(delta.cache_misses),
-            evictions: s.evictions.wrapping_add(delta.evictions),
-            rejects: s.rejects.wrapping_add(delta.rejects),
-            kernel_solves: s.kernel_solves.wrapping_add(delta.kernel_solves),
-            simplex_solves: s.simplex_solves.wrapping_add(delta.simplex_solves),
-            degraded: s.degraded.wrapping_add(delta.degraded),
-            shed: s.shed.wrapping_add(delta.shed),
-            validated_rejects: s.validated_rejects.wrapping_add(delta.validated_rejects),
-        });
-    });
+}
+
+/// The calling thread's serving counters: a view of [`obs::local`].
+pub fn local_snapshot() -> ServeStats {
+    ServeStats::from(&obs::local())
+}
+
+/// Adds each field of `delta` to its [`obs`] counter. Called once per
+/// serve or per drained batch, never per solve.
+pub(crate) fn record(delta: &ServeStats) {
+    obs::add(Counter::ServeQueries, delta.queries);
+    obs::add(Counter::ServeCacheHits, delta.cache_hits);
+    obs::add(Counter::ServeCacheMisses, delta.cache_misses);
+    obs::add(Counter::ServeEvictions, delta.evictions);
+    obs::add(Counter::ServeRejects, delta.rejects);
+    obs::add(Counter::ServeKernelSolves, delta.kernel_solves);
+    obs::add(Counter::ServeSimplexSolves, delta.simplex_solves);
+    obs::add(Counter::ServeDegraded, delta.degraded);
+    obs::add(Counter::ServeShed, delta.shed);
+    obs::add(Counter::ServeValidatedRejects, delta.validated_rejects);
 }
 
 #[cfg(test)]
@@ -209,7 +144,7 @@ mod tests {
             rejects: 0,
             kernel_solves: 5,
             simplex_solves: 1,
-            ..ServeStats::zero()
+            ..ServeStats::default()
         };
         let mut b = a;
         b.queries += 7;
@@ -234,17 +169,17 @@ mod tests {
 
     #[test]
     fn hit_rate_handles_the_empty_snapshot() {
-        assert_eq!(ServeStats::zero().hit_rate(), 0.0);
+        assert_eq!(ServeStats::default().hit_rate(), 0.0);
         let s = ServeStats {
             queries: 8,
             cache_hits: 6,
-            ..ServeStats::zero()
+            ..ServeStats::default()
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-15);
     }
 
     #[test]
-    fn record_moves_globals_and_locals_together() {
+    fn record_moves_the_registry_counters() {
         let delta = ServeStats {
             queries: 3,
             cache_hits: 1,
@@ -257,33 +192,33 @@ mod tests {
             shed: 1,
             validated_rejects: 2,
         };
-        let (g0, l0) = (snapshot(), local_snapshot());
-        record(&delta);
-        let dg = snapshot().delta_since(&g0);
-        let dl = local_snapshot().delta_since(&l0);
-        // Global counters race with peer test threads, so only the
-        // thread-local delta is asserted exactly.
-        assert!(dg.queries >= 3);
-        assert_eq!(dl, delta);
+        let ((), d) = obs::scoped(|| record(&delta));
+        assert_eq!(ServeStats::from(&d), delta);
+        assert_eq!(
+            d[Counter::KernelHits],
+            0,
+            "serve records only serve counters"
+        );
     }
 
     #[test]
     fn local_snapshot_ignores_other_threads() {
-        let before = local_snapshot();
-        std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    record(&ServeStats {
-                        queries: 5,
-                        ..ServeStats::zero()
+        let ((), d) = obs::scoped(|| {
+            std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        record(&ServeStats {
+                            queries: 5,
+                            ..ServeStats::default()
+                        })
                     })
-                })
-                .join()
-                .unwrap();
+                    .join()
+                    .unwrap();
+            });
         });
         assert_eq!(
-            local_snapshot().delta_since(&before),
-            ServeStats::zero(),
+            d,
+            Counters::default(),
             "peer-thread serves must not leak into this thread's counters"
         );
     }

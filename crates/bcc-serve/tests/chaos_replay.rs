@@ -15,8 +15,9 @@
 use bcc_channel::{ChannelState, PowerSplit};
 use bcc_core::protocol::Bound;
 use bcc_num::faults::{FaultPlan, FaultSite};
+use bcc_num::obs;
 use bcc_serve::{
-    Decision, LoadSpec, Query, ServeConfig, ServeError, ServedFrom, Server, StreamKind,
+    Decision, LoadSpec, Query, ServeConfig, ServeError, ServeStats, ServedFrom, Server, StreamKind,
 };
 
 const SEED: u64 = 0x5E4E_0009;
@@ -34,7 +35,7 @@ fn silence_injected_panics() {
             let injected = info
                 .payload()
                 .downcast_ref::<&str>()
-                .is_some_and(|m| m.contains("injected worker panic"));
+                .is_some_and(|m| *m == bcc_serve::INJECTED_PANIC);
             if !injected {
                 previous(info);
             }
@@ -154,7 +155,8 @@ fn degraded_answers_are_feasible_conservative_and_healthy_answers_clean() {
     let log = stream();
     let clean = replay(&log, &ServeConfig::default(), 512);
     let chaos_cfg = ServeConfig::default().faults(chaos_plan());
-    let (chaos, delta) = bcc_serve::stats::scoped(|| replay(&log, &chaos_cfg, 512));
+    let (chaos, delta) = obs::scoped(|| replay(&log, &chaos_cfg, 512));
+    let delta = ServeStats::from(&delta);
     assert_eq!(delta.queries, QUERIES);
     assert!(delta.degraded > 0, "the plan should degrade some answers");
     assert!(delta.validated_rejects > 0, "malformed queries were served");
