@@ -73,7 +73,8 @@
 //! 15% against the committed baseline (serial and parallel each), **or if
 //! a fast path silently turned off**: `kernel_hits == 0` or
 //! `batched_points == 0` on the Fig. 3 sweep (every solve there is
-//! closed-form and must run through the SoA lane kernels), or
+//! closed-form and must run through the SoA lane kernels), `pivots != 0`
+//! on the multi-pair sweep (every request there has a closed form), or
 //! `warm_hits == 0` summed across all scenarios (a floor-free inner
 //! sweep never touches the simplex now, so the warm path's canary is the
 //! serve study's floored sub-stream). The factor is overridable via
@@ -972,6 +973,17 @@ fn main() {
                 "check ok: multipair_k3 kernel_hits = {}",
                 multipair.mix.kernel_hits
             );
+        }
+        // Every multipair request is floor-free and inner, so all of them
+        // (HBC max-min included) have a closed form: a pivot means one fell
+        // back to the simplex.
+        if multipair.mix.pivots != 0 {
+            failures.push(format!(
+                "multipair_k3 pivots = {}: HBC max-min fell back to the simplex",
+                multipair.mix.pivots
+            ));
+        } else {
+            println!("check ok: multipair_k3 pivots = 0");
         }
         // City-assignment gates: the greedy best-edge aggregate is a
         // per-pair maximum, so it can only fall below the random

@@ -460,6 +460,21 @@ struct HbcCoef<const M: usize> {
     s: [f64; M],
 }
 
+impl<const M: usize> HbcCoef<M> {
+    #[inline(always)]
+    fn load(c: &CapsLanes<M>) -> Self {
+        HbcCoef {
+            a1: c.c_a_ar,
+            a2: c.c_a_ab,
+            a3: c.c_r_br,
+            b1: c.c_b_br,
+            b2: c.c_b_ab,
+            b3: c.c_r_ar,
+            s: c.c_mac,
+        }
+    }
+}
+
 /// HBC tournament state: best exact value, best ray mass, best ray.
 struct HbcBest<const M: usize> {
     f: [f64; M],
@@ -467,13 +482,31 @@ struct HbcBest<const M: usize> {
     d: [[f64; M]; 4],
 }
 
+impl<const M: usize> HbcBest<M> {
+    /// The tournament's start: value 0 at the last corner, so a
+    /// candidate must score strictly positive to win.
+    #[inline(always)]
+    fn start() -> Self {
+        HbcBest {
+            f: [0.0; M],
+            sum: [1.0; M],
+            d: [[0.0; M], [0.0; M], [0.0; M], [1.0; M]],
+        }
+    }
+}
+
 /// One candidate ray per lane through the HBC homogeneous tournament:
 /// sign-normalise, screen for simplex membership, evaluate the exact
-/// `F = min(u + v, w)` and keep the cross-multiplied winner — all by
-/// masked select, no data-dependent branches.
+/// objective `value(l, Δ)` (homogeneous of degree 1 in the ray) and keep
+/// the cross-multiplied winner — all by masked select, no data-dependent
+/// branches.
 #[inline(always)]
-#[allow(clippy::needless_range_loop)] // `l` is the lane index across d/co/best
-fn hbc_consider<const M: usize>(d: &[[f64; M]; 4], co: &HbcCoef<M>, best: &mut HbcBest<M>) {
+#[allow(clippy::needless_range_loop)] // `l` is the lane index across d/best
+fn hbc_consider<const M: usize>(
+    d: &[[f64; M]; 4],
+    best: &mut HbcBest<M>,
+    value: impl Fn(usize, f64, f64, f64, f64) -> f64,
+) {
     for l in 0..M {
         let (mut d0, mut d1, mut d2, mut d3) = (d[0][l], d[1][l], d[2][l], d[3][l]);
         let mut sum = d0 + d1 + d2 + d3;
@@ -490,10 +523,7 @@ fn hbc_consider<const M: usize>(d: &[[f64; M]; 4], co: &HbcCoef<M>, best: &mut H
         let d1 = d1.max(0.0);
         let d2 = d2.max(0.0);
         let d3 = d3.max(0.0);
-        let u = (co.a1[l] * (d0 + d2)).min(co.a2[l] * d0 + co.a3[l] * d3);
-        let v = (co.b1[l] * (d1 + d2)).min(co.b2[l] * d1 + co.b3[l] * d3);
-        let w = co.a1[l] * d0 + co.b1[l] * d1 + co.s[l] * d2;
-        let f = (u + v).min(w);
+        let f = value(l, d0, d1, d2, d3);
         let m = ok & (f * best.sum[l] > best.f[l] * sum);
         best.f[l] = sel(m, f, best.f[l]);
         best.sum[l] = sel(m, sum, best.sum[l]);
@@ -502,6 +532,23 @@ fn hbc_consider<const M: usize>(d: &[[f64; M]; 4], co: &HbcCoef<M>, best: &mut H
         best.d[2][l] = sel(m, d2, best.d[2][l]);
         best.d[3][l] = sel(m, d3, best.d[3][l]);
     }
+}
+
+/// The HBC sum-rate pieces at ray `Δ`: the two per-direction caps `u`,
+/// `v` and the relay sum row `w` (`F = min(u + v, w)`).
+#[inline(always)]
+fn hbc_uvw<const M: usize>(
+    co: &HbcCoef<M>,
+    l: usize,
+    d0: f64,
+    d1: f64,
+    d2: f64,
+    d3: f64,
+) -> (f64, f64, f64) {
+    let u = (co.a1[l] * (d0 + d2)).min(co.a2[l] * d0 + co.a3[l] * d3);
+    let v = (co.b1[l] * (d1 + d2)).min(co.b2[l] * d1 + co.b3[l] * d3);
+    let w = co.a1[l] * d0 + co.b1[l] * d1 + co.s[l] * d2;
+    (u, v, w)
 }
 
 /// Lanewise generalised cross product of three 4-d rows (null-space
@@ -536,24 +583,7 @@ fn null4_lanes<const M: usize>(
 fn hbc_sum_lanes<const M: usize>(
     c: &CapsLanes<M>,
 ) -> ([f64; M], [f64; M], [f64; M], [[f64; M]; 4]) {
-    let mut co = HbcCoef {
-        a1: [0.0; M],
-        a2: [0.0; M],
-        a3: [0.0; M],
-        b1: [0.0; M],
-        b2: [0.0; M],
-        b3: [0.0; M],
-        s: [0.0; M],
-    };
-    for l in 0..M {
-        co.a1[l] = c.c_a_ar[l];
-        co.a2[l] = c.c_a_ab[l];
-        co.a3[l] = c.c_r_br[l];
-        co.b1[l] = c.c_b_br[l];
-        co.b2[l] = c.c_b_ab[l];
-        co.b3[l] = c.c_r_ar[l];
-        co.s[l] = c.c_mac[l];
-    }
+    let co = HbcCoef::load(c);
     // The five kink planes: the two `min` kinks K₁, K₂ and the three
     // admissible `u + v = w` tie planes (T₁₁ degenerates to Δ₃ = 0).
     let mut kinks = [[[0.0; M]; 4]; 5];
@@ -576,16 +606,16 @@ fn hbc_sum_lanes<const M: usize>(
         kinks[4][2][l] = -co.s[l];
         kinks[4][3][l] = co.a3[l] + co.b3[l];
     }
-    let mut best = HbcBest {
-        f: [0.0; M],
-        sum: [1.0; M],
-        d: [[0.0; M], [0.0; M], [0.0; M], [1.0; M]],
+    let value = |l: usize, d0: f64, d1: f64, d2: f64, d3: f64| {
+        let (u, v, w) = hbc_uvw(&co, l, d0, d1, d2, d3);
+        (u + v).min(w)
     };
+    let mut best = HbcBest::start();
     // Corners of the simplex (three facets).
     for corner in 0..4 {
         let mut d = [[0.0; M]; 4];
         d[corner] = [1.0; M];
-        hbc_consider(&d, &co, &mut best);
+        hbc_consider(&d, &mut best, value);
     }
     // Simplex edges (two facets) crossed with one kink plane: on the
     // edge span{eᵢ, eⱼ}, the ray `n_j·eᵢ − n_i·eⱼ` solves `n·d = 0`.
@@ -597,7 +627,7 @@ fn hbc_sum_lanes<const M: usize>(
                     d[i][l] = kink[j][l];
                     d[j][l] = -kink[i][l];
                 }
-                hbc_consider(&d, &co, &mut best);
+                hbc_consider(&d, &mut best, value);
             }
         }
     }
@@ -627,14 +657,14 @@ fn hbc_sum_lanes<const M: usize>(
                     d[rest[1]][l] = a2 * b0 - a0 * b2;
                     d[rest[2]][l] = a0 * b1 - a1 * b0;
                 }
-                hbc_consider(&d, &co, &mut best);
+                hbc_consider(&d, &mut best, value);
             }
         }
     }
     // Interior vertices: K₁ ∩ K₂ ∩ one tie plane.
     for t in 2..5 {
         let d = null4_lanes(&kinks[0], &kinks[1], &kinks[t]);
-        hbc_consider(&d, &co, &mut best);
+        hbc_consider(&d, &mut best, value);
     }
     // Normalise the winning ray and recompute the exact operating point.
     let (mut rate, mut ra, mut rb, mut d) = ([0.0; M], [0.0; M], [0.0; M], [[0.0; M]; 4]);
@@ -646,9 +676,7 @@ fn hbc_sum_lanes<const M: usize>(
             best.d[2][l] * inv,
             best.d[3][l] * inv,
         );
-        let u = (co.a1[l] * (d0 + d2)).min(co.a2[l] * d0 + co.a3[l] * d3);
-        let v = (co.b1[l] * (d1 + d2)).min(co.b2[l] * d1 + co.b3[l] * d3);
-        let w = co.a1[l] * d0 + co.b1[l] * d1 + co.s[l] * d2;
+        let (u, v, w) = hbc_uvw(&co, l, d0, d1, d2, d3);
         // When the sum row binds, keep R_b at its individual cap and
         // give R_a the remainder (the MABC kernel's convention).
         let direct = u + v <= w;
@@ -684,6 +712,21 @@ fn dt_mm_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [f64; M]) {
     (t, d0)
 }
 
+/// The ten pairs `(i, j)`, `i < j`, of five lines (the max–min kernels'
+/// pairwise ties).
+const PAIRS5: [(usize, usize); 10] = [
+    (0, 1),
+    (0, 2),
+    (0, 3),
+    (0, 4),
+    (1, 2),
+    (1, 3),
+    (1, 4),
+    (2, 3),
+    (2, 4),
+    (3, 4),
+];
+
 /// MABC max–min: `t ≤ mA(Δ)`, `t ≤ mB(Δ)`, `2t ≤ Δ·s` — the maximum of
 /// a min of five lines sits at a pairwise crossing or an endpoint.
 /// Candidates are screened (not clamped) exactly like the scalar
@@ -692,18 +735,6 @@ fn dt_mm_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [f64; M]) {
 /// `(t, Δ₁)`.
 #[inline(always)]
 fn mabc_mm_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [f64; M]) {
-    const PAIRS: [(usize, usize); 10] = [
-        (0, 1),
-        (0, 2),
-        (0, 3),
-        (0, 4),
-        (1, 2),
-        (1, 3),
-        (1, 4),
-        (2, 3),
-        (2, 4),
-        (3, 4),
-    ];
     let mut bd = [0.0; M];
     let mut bv = [f64::NEG_INFINITY; M];
     for cand in 0..12 {
@@ -715,7 +746,7 @@ fn mabc_mm_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [f64; M]) {
                 0 => 0.0,
                 1 => 1.0,
                 _ => {
-                    let (i, j) = PAIRS[cand - 2];
+                    let (i, j) = PAIRS5[cand - 2];
                     let denom = (p[i] - q[i]) - (p[j] - q[j]);
                     (q[j] - q[i]) / denom
                 }
@@ -816,6 +847,124 @@ fn tdbc_mm_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [[f64; M]; 3]) 
     (t, d)
 }
 
+/// HBC max–min by vertex enumeration over the 3-simplex: maximise
+/// `min(L₁…L₅)` for the five Theorem-5 lines
+///
+/// * `L₁ = a₁(Δ₁+Δ₃)`, `L₂ = a₂Δ₁ + a₃Δ₄` (relay and `b` decode `W_a`),
+/// * `L₃ = b₁(Δ₂+Δ₃)`, `L₄ = b₂Δ₂ + b₃Δ₄` (relay and `a` decode `W_b`),
+/// * `L₅ = ½(a₁Δ₁ + b₁Δ₂ + sΔ₃)` (the relay sum row at `R_a = R_b`).
+///
+/// The optimum is a vertex where the active lines tie and the active
+/// facets hold: an edge crossed with one pairwise tie, a facet crossed
+/// with the two ties of a line triple, or an interior point where a line
+/// quadruple ties. The corners and four of the six edges are skipped: on
+/// each of those edges one line vanishes identically (`L₄` on {Δ₁,Δ₃},
+/// `L₃` on {Δ₁,Δ₄}, `L₂` on {Δ₂,Δ₃}, `L₁` on {Δ₂,Δ₄}), so they score 0
+/// and never beat the tournament's 0 start. That leaves 65 rays (20 edge,
+/// 40 facet, 5 interior) through the division-free homogeneous
+/// tournament. Returns `(t, Δ)`.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // `l` is the lane index across lines/co
+fn hbc_mm_lanes<const M: usize>(c: &CapsLanes<M>) -> ([f64; M], [[f64; M]; 4]) {
+    // Line triples (i, j, k) as their two star ties (L_i − L_j, L_i − L_k),
+    // and line quadruples as their three star ties, by `PAIRS5` index.
+    const TRIPLES: [(usize, usize); 10] = [
+        (0, 1),
+        (0, 2),
+        (0, 3),
+        (1, 2),
+        (1, 3),
+        (2, 3),
+        (4, 5),
+        (4, 6),
+        (5, 6),
+        (7, 8),
+    ];
+    const QUADS: [(usize, usize, usize); 5] =
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5, 6)];
+    let co = HbcCoef::load(c);
+    let value = |l: usize, d0: f64, d1: f64, d2: f64, d3: f64| {
+        (co.a1[l] * (d0 + d2))
+            .min(co.a2[l] * d0 + co.a3[l] * d3)
+            .min(co.b1[l] * (d1 + d2))
+            .min(co.b2[l] * d1 + co.b3[l] * d3)
+            .min(0.5 * (co.a1[l] * d0 + co.b1[l] * d1 + co.s[l] * d2))
+    };
+    let mut lines = [[[0.0; M]; 4]; 5];
+    for l in 0..M {
+        lines[0][0][l] = co.a1[l];
+        lines[0][2][l] = co.a1[l];
+        lines[1][0][l] = co.a2[l];
+        lines[1][3][l] = co.a3[l];
+        lines[2][1][l] = co.b1[l];
+        lines[2][2][l] = co.b1[l];
+        lines[3][1][l] = co.b2[l];
+        lines[3][3][l] = co.b3[l];
+        lines[4][0][l] = 0.5 * co.a1[l];
+        lines[4][1][l] = 0.5 * co.b1[l];
+        lines[4][2][l] = 0.5 * co.s[l];
+    }
+    let mut ties = [[[0.0; M]; 4]; 10];
+    for (tie, &(i, j)) in ties.iter_mut().zip(&PAIRS5) {
+        for k in 0..4 {
+            for l in 0..M {
+                tie[k][l] = lines[i][k][l] - lines[j][k][l];
+            }
+        }
+    }
+    let mut best = HbcBest::start();
+    // The edges {Δ₁,Δ₂} and {Δ₃,Δ₄} crossed with one tie: on
+    // span{eᵢ, eⱼ}, the ray `n_j·eᵢ − n_i·eⱼ` solves `n·d = 0`.
+    for (i, j) in [(0, 1), (2, 3)] {
+        for tie in &ties {
+            let mut d = [[0.0; M]; 4];
+            for l in 0..M {
+                d[i][l] = tie[j][l];
+                d[j][l] = -tie[i][l];
+            }
+            hbc_consider(&d, &mut best, value);
+        }
+    }
+    // One facet crossed with the two ties of a line triple.
+    for fct in 0..4 {
+        let rest = match fct {
+            0 => [1, 2, 3],
+            1 => [0, 2, 3],
+            2 => [0, 1, 3],
+            _ => [0, 1, 2],
+        };
+        for &(p, q) in &TRIPLES {
+            let (a, b) = (&ties[p], &ties[q]);
+            let mut d = [[0.0; M]; 4];
+            for l in 0..M {
+                let (a0, a1, a2) = (a[rest[0]][l], a[rest[1]][l], a[rest[2]][l]);
+                let (b0, b1, b2) = (b[rest[0]][l], b[rest[1]][l], b[rest[2]][l]);
+                d[rest[0]][l] = a1 * b2 - a2 * b1;
+                d[rest[1]][l] = a2 * b0 - a0 * b2;
+                d[rest[2]][l] = a0 * b1 - a1 * b0;
+            }
+            hbc_consider(&d, &mut best, value);
+        }
+    }
+    // Interior vertices: a line quadruple ties.
+    for &(p, q, r) in &QUADS {
+        let d = null4_lanes(&ties[p], &ties[q], &ties[r]);
+        hbc_consider(&d, &mut best, value);
+    }
+    // Normalise the winning ray by its clamped mass (so the durations sum
+    // to 1 even when the screen let a −1e-9 component through) and
+    // recompute the exact symmetric rate.
+    let (mut t, mut d) = ([0.0; M], [[0.0; M]; 4]);
+    for l in 0..M {
+        let inv = 1.0 / (best.d[0][l] + best.d[1][l] + best.d[2][l] + best.d[3][l]);
+        for k in 0..4 {
+            d[k][l] = best.d[k][l] * inv;
+        }
+        t[l] = value(l, d[0][l], d[1][l], d[2][l], d[3][l]).max(0.0);
+    }
+    (t, d)
+}
+
 // ---------------------------------------------------------------------------
 // Scalar entry points (width-1 instantiations — the kernel's closed forms)
 // ---------------------------------------------------------------------------
@@ -857,11 +1006,11 @@ pub(crate) fn sum_rate_one(caps: &LinkCaps, protocol: Protocol) -> SumRateSoluti
     }
 }
 
-/// Closed-form max–min point of one point from its capacity bundle
-/// (`None` for HBC — its four-phase max–min stays on the simplex).
-pub(crate) fn max_min_one(caps: &LinkCaps, protocol: Protocol) -> Option<SchedulePoint> {
+/// Closed-form max–min point of one point from its capacity bundle: the
+/// width-1 instantiation of the lane kernels.
+pub(crate) fn max_min_one(caps: &LinkCaps, protocol: Protocol) -> SchedulePoint {
     let c = CapsLanes::<1>::from_caps(caps);
-    Some(match protocol {
+    match protocol {
         Protocol::DirectTransmission => {
             let (t, d0) = dt_mm_lanes(&c);
             mm_pt2(t[0], d0[0])
@@ -872,15 +1021,13 @@ pub(crate) fn max_min_one(caps: &LinkCaps, protocol: Protocol) -> Option<Schedul
         }
         Protocol::Tdbc => {
             let (t, d) = tdbc_mm_lanes(&c);
-            SchedulePoint {
-                ra: t[0],
-                rb: t[0],
-                durations: PhaseVec::from([d[0][0], d[1][0], d[2][0]]),
-                objective: t[0],
-            }
+            mm_pt(t[0], PhaseVec::from([d[0][0], d[1][0], d[2][0]]))
         }
-        Protocol::Hbc => return None,
-    })
+        Protocol::Hbc => {
+            let (t, d) = hbc_mm_lanes(&c);
+            mm_pt(t[0], PhaseVec::from([d[0][0], d[1][0], d[2][0], d[3][0]]))
+        }
+    }
 }
 
 #[inline(always)]
@@ -895,13 +1042,18 @@ fn sum_sol2(protocol: Protocol, rate: f64, ra: f64, rb: f64, d0: f64) -> SumRate
 }
 
 #[inline(always)]
-fn mm_pt2(t: f64, d0: f64) -> SchedulePoint {
+fn mm_pt(t: f64, durations: PhaseVec) -> SchedulePoint {
     SchedulePoint {
         ra: t,
         rb: t,
-        durations: PhaseVec::from([d0, 1.0 - d0]),
+        durations,
         objective: t,
     }
+}
+
+#[inline(always)]
+fn mm_pt2(t: f64, d0: f64) -> SchedulePoint {
+    mm_pt(t, PhaseVec::from([d0, 1.0 - d0]))
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,12 +1153,19 @@ fn tdbc_mm_chunk<const M: usize>(b: &PointBlock, i: usize, out: &mut Vec<Schedul
     let c = CapsLanes::<M>::load(b, i);
     let (t, d) = tdbc_mm_lanes(&c);
     for l in 0..M {
-        out.push(SchedulePoint {
-            ra: t[l],
-            rb: t[l],
-            durations: PhaseVec::from([d[0][l], d[1][l], d[2][l]]),
-            objective: t[l],
-        });
+        out.push(mm_pt(t[l], PhaseVec::from([d[0][l], d[1][l], d[2][l]])));
+    }
+}
+
+#[inline(always)]
+fn hbc_mm_chunk<const M: usize>(b: &PointBlock, i: usize, out: &mut Vec<SchedulePoint>) {
+    let c = CapsLanes::<M>::load(b, i);
+    let (t, d) = hbc_mm_lanes(&c);
+    for l in 0..M {
+        out.push(mm_pt(
+            t[l],
+            PhaseVec::from([d[0][l], d[1][l], d[2][l], d[3][l]]),
+        ));
     }
 }
 
@@ -1025,7 +1184,7 @@ fn sum_block_body(block: &PointBlock, protocol: Protocol, out: &mut Vec<SumRateS
     }
 }
 
-/// The whole-block max–min body (DT/MABC/TDBC).
+/// The whole-block max–min body.
 #[inline(always)]
 fn mm_block_body(block: &PointBlock, protocol: Protocol, out: &mut Vec<SchedulePoint>) {
     let n = block.len();
@@ -1034,7 +1193,7 @@ fn mm_block_body(block: &PointBlock, protocol: Protocol, out: &mut Vec<ScheduleP
         Protocol::DirectTransmission => chunked!(dt_mm_chunk, block, out, n),
         Protocol::Mabc => chunked!(mabc_mm_chunk, block, out, n),
         Protocol::Tdbc => chunked!(tdbc_mm_chunk, block, out, n),
-        Protocol::Hbc => unreachable!("HBC max-min has no closed form"),
+        Protocol::Hbc => chunked!(hbc_mm_chunk, block, out, n),
     }
 }
 
@@ -1135,39 +1294,30 @@ pub fn max_sum_rate_block(block: &PointBlock, protocol: Protocol, out: &mut Vec<
     finish_block(n);
 }
 
-/// Batched closed-form `max_min_rate` for DT/MABC/TDBC: appends one
-/// schedule point per staged point to `out` and returns `true`. For HBC
-/// — whose four-phase max–min stays on the simplex — returns `false`
-/// without touching `out`.
+/// Batched closed-form `max_min_rate`: appends one schedule point per
+/// staged point (in block order) to `out`. Covers all four protocols;
+/// bit-identical to the scalar kernel at any lane width.
 ///
 /// # Panics
 ///
 /// Panics if [`PointBlock::compute_caps`] has not run since the last
 /// push.
-pub fn max_min_rate_block(
-    block: &PointBlock,
-    protocol: Protocol,
-    out: &mut Vec<SchedulePoint>,
-) -> bool {
+pub fn max_min_rate_block(block: &PointBlock, protocol: Protocol, out: &mut Vec<SchedulePoint>) {
     assert!(
         block.caps_ready,
         "PointBlock::compute_caps has not run since the last push"
     );
-    if protocol == Protocol::Hbc {
-        return false;
-    }
     let n = block.len();
     if n == 0 {
-        return true;
+        return;
     }
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd::mm_block(block, protocol, out) {
         finish_block(n);
-        return true;
+        return;
     }
     mm_block_body(block, protocol, out);
     finish_block(n);
-    true
 }
 
 #[cfg(test)]
@@ -1248,9 +1398,10 @@ mod tests {
     fn block_max_min_is_bit_identical_to_scalar_kernel() {
         let nets = grid();
         let b = filled_block(&nets);
-        for proto in [Protocol::DirectTransmission, Protocol::Mabc, Protocol::Tdbc] {
+        for proto in Protocol::ALL {
             let mut out = Vec::new();
-            assert!(max_min_rate_block(&b, proto, &mut out));
+            max_min_rate_block(&b, proto, &mut out);
+            assert_eq!(out.len(), nets.len());
             for (i, net) in nets.iter().enumerate() {
                 let scalar = kernel::max_min_rate(net, proto).expect("covered");
                 let batch = &out[i];
@@ -1259,14 +1410,12 @@ mod tests {
                     scalar.objective.to_bits(),
                     "{proto} t {i}"
                 );
+                assert_eq!(batch.durations.len(), scalar.durations.len());
                 for (x, y) in batch.durations.iter().zip(scalar.durations.iter()) {
                     assert_eq!(x.to_bits(), y.to_bits(), "{proto} durations {i}");
                 }
             }
         }
-        let mut out = Vec::new();
-        assert!(!max_min_rate_block(&b, Protocol::Hbc, &mut out));
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 use super::PointBlock;
 use crate::error::CoreError;
 use crate::gaussian::GaussianNetwork;
-use crate::kernel::{Objective, SolveCtx, SolveOutcome, SolveRequest};
-use crate::protocol::Bound;
+use crate::kernel::{SolveCtx, SolveOutcome, SolveRequest};
 use bcc_num::faults::{self, FaultPlan, FaultScope, FaultSite};
 use bcc_num::par;
 use std::ops::Range;
@@ -71,15 +70,7 @@ where
     F: Fn(&mut A, usize, usize, Result<&SolveOutcome, CoreError>) -> Result<(), CoreError> + Sync,
 {
     assert!(block >= 1, "need at least one point per block");
-    // Lane kernels never consult the fault hooks. The caps-sharing simplex
-    // behind inner max-min does, so under a plan it runs per item in scope.
-    let lanes: Vec<bool> = requests
-        .iter()
-        .map(|r| {
-            r.is_batchable()
-                || (plan.is_empty() && r.bound == Bound::Inner && r.objective == Objective::MaxMin)
-        })
-        .collect();
+    let lanes: Vec<bool> = requests.iter().map(SolveRequest::is_batchable).collect();
     let scope = |i: usize| FaultScope::enter(plan, faults::scope_token(plan.seed(), i as u64));
     // Per-worker scratch, reused across every job the worker drains: the
     // staged networks of the block's scalar-path items, and the lane

@@ -84,21 +84,6 @@ impl LinkCaps {
     }
 }
 
-/// Builds the inner (achievable) constraint set of `protocol` from
-/// precomputed [`LinkCaps`] — the allocation-free per-point hot path.
-pub fn inner_constraints_from_caps_into(
-    protocol: Protocol,
-    caps: &LinkCaps,
-    set: &mut ConstraintSet,
-) {
-    match protocol {
-        Protocol::DirectTransmission => dt::capacity_constraints_from_caps_into(caps, set),
-        Protocol::Mabc => mabc::capacity_constraints_from_caps_into(caps, set),
-        Protocol::Tdbc => tdbc::inner_constraints_from_caps_into(caps, set),
-        Protocol::Hbc => hbc::inner_constraints_from_caps_into(caps, set),
-    }
-}
-
 /// Dispatches to the right theorem for `(protocol, bound)` at the paper's
 /// common per-node power `P` — shorthand for [`constraint_sets_split`]
 /// with a symmetric split.

@@ -448,9 +448,9 @@ impl Evaluator {
                     let (fab, far, fbr) = fades[t];
                     let faded = net.with_state(state.faded(fab, far, fbr));
                     // Equal-rate sum: twice the max–min rate on the faded
-                    // network (closed-form kernel where available, warm
-                    // simplex otherwise; a deep-fade LP failure counts as
-                    // rate 0).
+                    // network (closed-form kernel for every protocol; an
+                    // error, only reachable through an injected fault,
+                    // counts as rate 0).
                     ctx.solve_one(&faded, crate::kernel::SolveRequest::max_min(protocol))
                         .map(|o| 2.0 * o.value)
                         .unwrap_or(0.0)

@@ -15,15 +15,15 @@
 //!
 //! Both are solved exactly by evaluating a handful of candidate `Δ`s —
 //! tens of flops instead of a simplex run. The **multi-phase protocols**
-//! follow the same geometry one dimension up: TDBC (sum and max–min) and
-//! HBC (sum) are concave piecewise-linear programs over a 2- or
-//! 3-simplex, solved exactly by enumerating the vertices of the linearity
-//! subdivision (facets × kink planes — a few dozen cross products). The
-//! kernel is dispatched automatically by [`SolveCtx`] (and
+//! follow the same geometry one dimension up: TDBC and HBC (sum and
+//! max–min) are concave piecewise-linear programs over a 2- or 3-simplex,
+//! solved exactly by enumerating the vertices of the linearity
+//! subdivision (facets × kink or tie planes — a few dozen cross
+//! products). The kernel is dispatched automatically by [`SolveCtx`] (and
 //! `GaussianNetwork::max_sum_rate`) whenever no QoS rate floor and no
 //! outer-bound ρ-family is in play; the simplex remains the fallback for
-//! the HBC max–min, floors and outer families, and serves as the proptest
-//! oracle for every closed form (`bcc-core/tests/kernel_oracle.rs`).
+//! floors and outer families, and serves as the proptest oracle for every
+//! closed form (`bcc-core/tests/kernel_oracle.rs`).
 //!
 //! The closed forms themselves are implemented **once**, as width-generic
 //! lane kernels in [`crate::batch`]; the scalar entry points here are the
@@ -81,22 +81,17 @@ pub fn max_sum_rate_from_caps(caps: &LinkCaps, protocol: Protocol) -> Option<Sum
     Some(sol)
 }
 
-/// Closed-form `max_min_rate` (largest symmetric rate) for DT, MABC and
-/// TDBC; `None` for HBC (its four-phase max–min stays on the simplex —
-/// the query is off the sweep hot path and the 3-simplex tie structure
-/// buys little over a warm-started solve).
+/// Closed-form `max_min_rate` (largest symmetric rate) — covers **all
+/// four** protocols (DT and MABC by 1-D line crossing, TDBC and HBC by
+/// simplex vertex enumeration). Always `Some` for valid inputs.
 pub fn max_min_rate(net: &GaussianNetwork, protocol: Protocol) -> Option<SchedulePoint> {
-    match protocol {
-        Protocol::DirectTransmission | Protocol::Mabc | Protocol::Tdbc => {
-            max_min_rate_from_caps(&LinkCaps::compute(&net.powers(), &net.state()), protocol)
-        }
-        Protocol::Hbc => None,
-    }
+    max_min_rate_from_caps(&LinkCaps::compute(&net.powers(), &net.state()), protocol)
 }
 
-/// [`max_min_rate`] from precomputed [`LinkCaps`].
+/// [`max_min_rate`] from precomputed [`LinkCaps`]. Covers all four
+/// protocols; the `Option` return mirrors [`max_sum_rate_from_caps`].
 pub fn max_min_rate_from_caps(caps: &LinkCaps, protocol: Protocol) -> Option<SchedulePoint> {
-    let pt = crate::batch::max_min_one(caps, protocol)?;
+    let pt = crate::batch::max_min_one(caps, protocol);
     obs::add(Counter::KernelHits, 1);
     Some(pt)
 }
@@ -175,14 +170,13 @@ impl SolveRequest {
     }
 
     /// Whether this request is served by the closed-form batch kernels:
-    /// inner bound, no floor for the sum-rate objective (floors go
-    /// through the LP), and — for max–min — not HBC (whose four-phase
-    /// max–min stays on the simplex).
+    /// inner bound, and no floor for the sum-rate objective (floors go
+    /// through the LP). Every protocol has both closed forms.
     pub fn is_batchable(&self) -> bool {
         self.bound == Bound::Inner
             && match self.objective {
                 Objective::SumRate => self.floor.is_none(),
-                Objective::MaxMin => self.protocol != Protocol::Hbc,
+                Objective::MaxMin => true,
             }
     }
 }
@@ -483,27 +477,6 @@ impl SolveCtx {
         caps
     }
 
-    /// The max–min LP over the inner constraint set built from `caps` —
-    /// the HBC max–min, which has no closed form.
-    fn lp_max_min_caps(
-        &mut self,
-        protocol: Protocol,
-        caps: &LinkCaps,
-    ) -> Result<SchedulePoint, CoreError> {
-        let SolveCtx {
-            ws,
-            buf,
-            prob,
-            sol,
-            row,
-            obj,
-            ..
-        } = self;
-        buf.begin();
-        bounds::inner_constraints_from_caps_into(protocol, caps, buf.next_set());
-        lp_max_min_parts(prob, ws, sol, row, obj, &buf.sets()[0])
-    }
-
     /// The simplex over `req`'s constraint family at `net`: outer bounds
     /// can be set *families* (HBC's ρ-family), maximised over members,
     /// and floors can make members — or the whole family — infeasible
@@ -575,22 +548,18 @@ impl SolveCtx {
                 site: "kernel poison",
             });
         }
-        match req.objective {
-            Objective::SumRate if req.bound == Bound::Inner && req.floor.is_none() => {
-                let caps = self.link_caps(net);
-                if let Some(sol) = max_sum_rate_from_caps(&caps, req.protocol) {
-                    return Ok(SolveOutcome::from_sum(sol));
+        if req.is_batchable() {
+            let caps = self.link_caps(net);
+            obs::add(Counter::KernelHits, 1);
+            return Ok(match req.objective {
+                Objective::SumRate => {
+                    SolveOutcome::from_sum(crate::batch::sum_rate_one(&caps, req.protocol))
                 }
-            }
-            Objective::MaxMin if req.bound == Bound::Inner => {
-                let caps = self.link_caps(net);
-                let pt = match max_min_rate_from_caps(&caps, req.protocol) {
-                    Some(pt) => pt,
-                    None => self.lp_max_min_caps(req.protocol, &caps)?,
-                };
-                return Ok(SolveOutcome::from_mm(req.protocol, pt));
-            }
-            _ => {}
+                Objective::MaxMin => SolveOutcome::from_mm(
+                    req.protocol,
+                    crate::batch::max_min_one(&caps, req.protocol),
+                ),
+            });
         }
         let pt = self.lp_family(net, req)?;
         Ok(SolveOutcome {
@@ -604,63 +573,48 @@ impl SolveCtx {
     ///
     /// [Batchable](SolveRequest::is_batchable) requests run through the
     /// SIMD-ready lane kernels of [`crate::batch`] (bit-identical to the
-    /// scalar path); the HBC max–min over the inner bound reuses the
-    /// block's capacity lanes and warm-starts the simplex per point.
-    /// Floored and outer-bound requests have no block form: solve them
-    /// per point with [`SolveCtx::solve_one`] (as
+    /// scalar path). Floored and outer-bound requests have no block form:
+    /// solve them per point with [`SolveCtx::solve_one`] (as
     /// [`crate::batch::solve_jobs`] does).
     ///
     /// # Errors
     ///
-    /// Propagates LP failures from the HBC max–min; on error `out` may
-    /// hold outcomes for a prefix of the block.
+    /// Never fails: every block form is a closed-form kernel. The `Result`
+    /// lets callers handle block and per-point ([`SolveCtx::solve_one`])
+    /// solves alike.
     ///
     /// # Panics
     ///
-    /// Panics if the request is neither batchable nor an inner-bound
-    /// max–min, or if [`crate::batch::PointBlock::compute_caps`] has not
-    /// run since the block's last push.
+    /// Panics if the request is not batchable, or if
+    /// [`crate::batch::PointBlock::compute_caps`] has not run since the
+    /// block's last push.
     pub fn solve_block(
         &mut self,
         block: &crate::batch::PointBlock,
         req: SolveRequest,
         out: &mut Vec<SolveOutcome>,
     ) -> Result<(), CoreError> {
-        out.reserve(block.len());
-        if req.is_batchable() {
-            match req.objective {
-                Objective::SumRate => {
-                    self.scratch_sum.clear();
-                    crate::batch::max_sum_rate_block(block, req.protocol, &mut self.scratch_sum);
-                    out.extend(self.scratch_sum.drain(..).map(SolveOutcome::from_sum));
-                }
-                Objective::MaxMin => {
-                    self.scratch_pts.clear();
-                    let covered = crate::batch::max_min_rate_block(
-                        block,
-                        req.protocol,
-                        &mut self.scratch_pts,
-                    );
-                    debug_assert!(covered, "is_batchable excludes HBC max-min");
-                    let protocol = req.protocol;
-                    out.extend(
-                        self.scratch_pts
-                            .drain(..)
-                            .map(|pt| SolveOutcome::from_mm(protocol, pt)),
-                    );
-                }
-            }
-            return Ok(());
-        }
         assert!(
-            req.objective == Objective::MaxMin && req.bound == Bound::Inner,
+            req.is_batchable(),
             "solve_block has no block form for floored or outer-bound requests"
         );
-        // HBC max–min: share the block's capacity lanes, one warm-started
-        // LP per point.
-        for i in 0..block.len() {
-            let pt = self.lp_max_min_caps(req.protocol, &block.caps(i))?;
-            out.push(SolveOutcome::from_mm(req.protocol, pt));
+        out.reserve(block.len());
+        match req.objective {
+            Objective::SumRate => {
+                self.scratch_sum.clear();
+                crate::batch::max_sum_rate_block(block, req.protocol, &mut self.scratch_sum);
+                out.extend(self.scratch_sum.drain(..).map(SolveOutcome::from_sum));
+            }
+            Objective::MaxMin => {
+                self.scratch_pts.clear();
+                crate::batch::max_min_rate_block(block, req.protocol, &mut self.scratch_pts);
+                let protocol = req.protocol;
+                out.extend(
+                    self.scratch_pts
+                        .drain(..)
+                        .map(|pt| SolveOutcome::from_mm(protocol, pt)),
+                );
+            }
         }
         Ok(())
     }
@@ -803,9 +757,20 @@ mod tests {
         // Sum rate: every protocol has a closed form.
         assert!(max_sum_rate(&n, Protocol::Tdbc).is_some());
         assert!(max_sum_rate(&n, Protocol::Hbc).is_some());
-        // Max–min: everything but HBC.
+        // Max–min: every protocol has a closed form too.
         assert!(max_min_rate(&n, Protocol::Tdbc).is_some());
-        assert!(max_min_rate(&n, Protocol::Hbc).is_none());
+        assert!(max_min_rate(&n, Protocol::Hbc).is_some());
+        // So every floor-free inner request is batchable.
+        for proto in Protocol::ALL {
+            assert!(SolveRequest::sum_rate(proto).is_batchable());
+            assert!(SolveRequest::max_min(proto).is_batchable());
+            assert!(!SolveRequest::sum_rate(proto)
+                .with_floor(Some((0.1, 0.1)))
+                .is_batchable());
+            assert!(!SolveRequest::max_min(proto)
+                .with_bound(Bound::Outer)
+                .is_batchable());
+        }
     }
 
     #[test]
@@ -866,6 +831,38 @@ mod tests {
                     sets[0].all_satisfied(kernel.ra, kernel.rb, &kernel.durations, 1e-9),
                     "kernel point infeasible at P={p} gab={gab} gar={gar} gbr={gbr}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn hbc_max_min_matches_simplex_on_grid() {
+        for p in [0.5, 2.0, 10.0, 31.6] {
+            for (gab, gar, gbr) in [
+                (0.2, 1.0, 3.16),
+                (1.0, 1.0, 1.0),
+                (1.0, 0.01, 10.0),
+                (0.0, 2.0, 2.0),
+                (5.0, 0.5, 0.5),
+                (1.0, 0.0, 1.0),
+                (0.5, 10.0, 0.1),
+            ] {
+                let n = net(p, gab, gar, gbr);
+                let kernel = max_min_rate(&n, Protocol::Hbc).unwrap();
+                let sets = n.constraint_sets(Protocol::Hbc, Bound::Inner);
+                let lp = optimizer::max_min_rate(&sets[0]).unwrap();
+                assert!(
+                    approx_eq(kernel.objective, lp.objective, 1e-9),
+                    "P={p} gab={gab} gar={gar} gbr={gbr}: {} vs {}",
+                    kernel.objective,
+                    lp.objective
+                );
+                assert!(
+                    sets[0].all_satisfied(kernel.ra, kernel.rb, &kernel.durations, 1e-9),
+                    "kernel point infeasible at P={p} gab={gab} gar={gar} gbr={gbr}"
+                );
+                let total: f64 = kernel.durations.iter().sum();
+                assert!(approx_eq(total, 1.0, 1e-8));
             }
         }
     }

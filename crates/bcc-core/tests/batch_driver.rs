@@ -5,11 +5,12 @@
 //! any block size and thread count; that a job's outcomes arrive in item
 //! order and, per item, in request order; and that accumulators come
 //! back in job order. This suite pins all of it bitwise over random
-//! networks and a request list that mixes the driver's three paths: a
-//! lane-kernel sum rate, the HBC max-min (simplex on the block's
-//! capacity lanes) and a floored sum rate (per-point simplex, sometimes
-//! infeasible). Each list runs with an empty plan, a kernel-poison plan
-//! and a plan that also forces simplex iteration limits.
+//! networks and a request list that mixes the driver's two paths: lane
+//! kernels (a TDBC sum rate and an HBC max-min) and a floored sum rate
+//! (per-point simplex, sometimes infeasible). Each list runs with an
+//! empty plan, a kernel-poison plan (poisoned blocks send the lane
+//! requests down the scalar path too) and a plan that also forces
+//! simplex iteration limits.
 
 use bcc_channel::{ChannelState, PowerSplit};
 use bcc_core::batch;

@@ -2,10 +2,11 @@
 //! simplex oracle.
 //!
 //! The kernel (`bcc_core::kernel`) answers the hot-loop queries —
-//! `max_sum_rate` for all four protocols and `max_min_rate` for
-//! DT/MABC/TDBC — analytically, while `bcc_core::optimizer` keeps solving the same
+//! `max_sum_rate` and `max_min_rate` for all four protocols —
+//! analytically, while `bcc_core::optimizer` keeps solving the same
 //! programs through the general cold two-phase simplex. Over random
-//! channel states and per-node power splits the two must agree:
+//! channel states and per-node power splits the two must agree (a
+//! protocol the kernel does not cover fails the check):
 //!
 //! * objectives within 1e-9;
 //! * the kernel's operating point is feasible and its durations form a
@@ -38,9 +39,8 @@ fn as_point(sol: &bcc_core::gaussian::SumRateSolution) -> SchedulePoint {
 
 /// Shared oracle check for one `(protocol, network)` sum-rate query.
 fn check_sum_rate(net: &GaussianNetwork, protocol: Protocol) {
-    let Some(kernel_sol) = kernel::max_sum_rate(net, protocol) else {
-        return; // protocol not covered by the kernel (HBC)
-    };
+    let kernel_sol = kernel::max_sum_rate(net, protocol)
+        .unwrap_or_else(|| panic!("{protocol}: sum rate not covered by the kernel"));
     let sets = bounds::constraint_sets_split(protocol, Bound::Inner, &net.powers(), &net.state());
     let set = &sets[0];
     let lp = optimizer::max_sum_rate(set).expect("oracle solvable");
@@ -89,9 +89,8 @@ fn check_sum_rate(net: &GaussianNetwork, protocol: Protocol) {
 
 /// Shared oracle check for one `(protocol, network)` max–min query.
 fn check_max_min(net: &GaussianNetwork, protocol: Protocol) {
-    let Some(kpt) = kernel::max_min_rate(net, protocol) else {
-        return;
-    };
+    let kpt = kernel::max_min_rate(net, protocol)
+        .unwrap_or_else(|| panic!("{protocol}: max-min not covered by the kernel"));
     let sets = bounds::constraint_sets_split(protocol, Bound::Inner, &net.powers(), &net.state());
     let set = &sets[0];
     let lp = optimizer::max_min_rate(set).expect("oracle solvable");
@@ -192,6 +191,94 @@ fn kernel_handles_extreme_scales() {
                 k.sum_rate,
                 lp.objective
             );
+            let k = kernel::max_min_rate(&net, proto).expect("covered");
+            let lp = optimizer::max_min_rate(&sets[0]).expect("solvable");
+            assert!(
+                (k.objective - lp.objective).abs() <= 1e-9 * (1.0 + lp.objective.abs()),
+                "{proto} max-min at p={p} gab={gab} gar={gar} gbr={gbr}: {} vs {}",
+                k.objective,
+                lp.objective
+            );
+            assert!(
+                sets[0].all_satisfied(k.ra, k.rb, &k.durations, 1e-8),
+                "{proto} max-min point infeasible at p={p} gab={gab} gar={gar} gbr={gbr}"
+            );
         }
+    }
+}
+
+/// `set` with every phase coefficient divided by its largest magnitude,
+/// and that magnitude (the set's largest capacity).
+fn unit_scaled(set: &ConstraintSet) -> (ConstraintSet, f64) {
+    let scale = set
+        .constraints()
+        .iter()
+        .flat_map(|c| c.phase_coefs.iter())
+        .fold(0.0f64, |m, v| m.max(v.abs()));
+    let mut unit = ConstraintSet::new(set.num_phases(), "unit-scale oracle");
+    for c in set.constraints() {
+        let mut c = c.clone();
+        for v in c.phase_coefs.iter_mut() {
+            *v /= scale;
+        }
+        unit.push(c);
+    }
+    (unit, scale)
+}
+
+#[test]
+fn hbc_max_min_is_exact_at_deep_fades_and_near_ties() {
+    // The first three are gain triples at P = 10 where `bcc-lp`'s
+    // absolute tolerances return simplex optima that break a row (by
+    // 2.85e-7 on the first) or miss an improvement. The last three are
+    // near-tie geometries whose winning ray carries a component just
+    // below zero, which the screen admits and the clamp removes. At each,
+    // the kernel point must be an exact schedule, satisfy its set to
+    // 1e-12 of the largest capacity, and be no worse than the simplex on
+    // the unit-scaled set.
+    for (p, gab, gar, gbr) in [
+        (10.0, 4.29e-4, 1.75e-4, 1.75e-4),
+        (10.0, 6.76e-4, 1.342e-4, 1.341e-4),
+        (10.0, 1.13e-4, 43.5, 1.13e-4),
+        (
+            2.4669442662288735e-1,
+            2.904732322008658e-5,
+            2.9037874354427412e-5,
+            2.4721231924564716e1,
+        ),
+        (
+            1.5757765054186482e-1,
+            2.0182379588955104e1,
+            2.0205012554232624e1,
+            1.370860955547033e-5,
+        ),
+        (
+            4.244234756386846e-1,
+            5.411729937534587e0,
+            1.3386523516292075e-5,
+            5.412690013483102e0,
+        ),
+    ] {
+        let net = GaussianNetwork::new(p, ChannelState::new(gab, gar, gbr));
+        let k = kernel::max_min_rate(&net, Protocol::Hbc).expect("covered");
+        let sets = net.constraint_sets(Protocol::Hbc, Bound::Inner);
+        let (unit, scale) = unit_scaled(&sets[0]);
+        let total: f64 = k.durations.iter().sum();
+        assert!(
+            (total - 1.0).abs() <= 1e-12 && k.durations.iter().all(|&d| d >= 0.0),
+            "P={p} gains ({gab}, {gar}, {gbr}): durations {:?} are no schedule",
+            k.durations
+        );
+        assert!(
+            sets[0].all_satisfied(k.ra, k.rb, &k.durations, 1e-12 * scale),
+            "P={p} gains ({gab}, {gar}, {gbr}): kernel point {k:?} infeasible"
+        );
+        let lp = SolveCtx::new().lp_max_min(&unit).expect("solvable");
+        assert!(
+            k.objective / scale >= lp.objective - 1e-9,
+            "P={p} gains ({gab}, {gar}, {gbr}): kernel {} below unit-scale simplex {}",
+            k.objective / scale,
+            lp.objective
+        );
     }
 }

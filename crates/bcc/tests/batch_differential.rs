@@ -183,14 +183,12 @@ proptest! {
             }
 
             pts.clear();
-            let covered = bcc_core::batch::max_min_rate_block(&block, proto, &mut pts);
-            prop_assert_eq!(covered, proto != Protocol::Hbc);
-            if covered {
-                for (n, got) in nets.iter().zip(&pts) {
-                    let want = kernel::max_min_rate(n, proto).unwrap();
-                    prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{proto}");
-                    prop_assert_eq!(got.durations, want.durations, "{proto}");
-                }
+            bcc_core::batch::max_min_rate_block(&block, proto, &mut pts);
+            prop_assert_eq!(pts.len(), nets.len());
+            for (n, got) in nets.iter().zip(&pts) {
+                let want = kernel::max_min_rate(n, proto).unwrap();
+                prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{proto}");
+                prop_assert_eq!(got.durations, want.durations, "{proto}");
             }
         }
     }
